@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import exactlp
 from .blockset import BlockingSetResult
 from .errors import InternalInvariantError, PreconditionError
-from .graphcore import Edge, Graph, edge_key
+from .graphcore import Edge, Graph, edge_key, uncovered_edge
 from .matching import matching_number, max_matching
 
 _Z = Fraction(0)
@@ -74,9 +74,6 @@ class SurplusState:
 
     def level_edges(self) -> frozenset[Edge]:
         return frozenset(edge_key(i, j) for i, j in self.level_pairs)
-
-    def upper_edges(self) -> frozenset[Edge]:
-        return frozenset(edge_key(i, j) for i, j in self.upper_pairs)
 
 
 def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
@@ -167,9 +164,9 @@ def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> di
             raise InternalInvariantError(f"frozen pair {p} changed defining-option value")
     if sum(x2.values(), _Z) != sum(st.x.values(), _Z):
         raise InternalInvariantError("transfer changed the allocation total")
-    for u, v in st.graph.edges:
-        if x2[u] + x2[v] < 1:
-            raise InternalInvariantError(f"transfer uncovered edge {u}-{v}")
+    bare = uncovered_edge(st.graph.edges, x2)
+    if bare is not None:
+        raise InternalInvariantError(f"transfer uncovered edge {bare[0]}-{bare[1]}")
     return x2
 
 
@@ -248,24 +245,12 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
     delta0 = st.delta_cap - st.s_max if st.s_max is not None else _Z
     candidate = {_var(v): st.x[v] for v in g.vertices}
     candidate["delta"] = delta0
-    _assert_lp_feasible(lp, candidate)
-    return lp
-
-
-def _assert_lp_feasible(lp: exactlp.LpProblem, point: Mapping[str, Fraction]) -> None:
-    for con in lp.constraints:
-        lhs = sum((c * point[v] for v, c in con.coeffs.items()), _Z)
-        ok = (
-            lhs <= con.rhs
-            if con.rel == exactlp.LE
-            else lhs >= con.rhs if con.rel == exactlp.GE else lhs == con.rhs
+    bad = exactlp.violations(lp, candidate)
+    if bad:
+        raise InternalInvariantError(
+            f"current allocation infeasible for acceleration LP: {'; '.join(bad)}"
         )
-        if not ok:
-            raise InternalInvariantError(
-                f"current allocation infeasible for acceleration LP at {con.name}"
-            )
-    if any(point[v] < 0 for v in lp.variables):
-        raise InternalInvariantError("current allocation violates nonnegativity")
+    return lp
 
 
 @dataclass
@@ -339,9 +324,10 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
     x = st.x
     if sum(x.values(), _Z) != total0:
         raise InternalInvariantError("dynamics changed the allocation total")
+    bare = uncovered_edge(g.edges, x)
+    if bare is not None:
+        raise InternalInvariantError(f"final allocation uncovers {bare[0]}-{bare[1]}")
     for u, v in g.edges:
-        if x[u] + x[v] < 1:
-            raise InternalInvariantError(f"final allocation uncovers {u}-{v}")
         if st.s[(u, v)] != st.s[(v, u)]:
             raise InternalInvariantError(f"final surpluses unbalanced on {u}-{v}")
     negative = [v for v in g.vertices if x[v] < 0]
@@ -354,9 +340,9 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
 def _check_start(g: Graph, x: Mapping[str, Fraction]) -> None:
     if any(x[v] < 0 for v in g.vertices):
         raise PreconditionError("starting allocation must be nonnegative")
-    for u, v in g.edges:
-        if x[u] + x[v] < 1:
-            raise PreconditionError(f"starting allocation uncovers {u}-{v}")
+    bare = uncovered_edge(g.edges, x)
+    if bare is not None:
+        raise PreconditionError(f"starting allocation uncovers {bare[0]}-{bare[1]}")
 
 
 def prekernel(g: Graph, x0: Mapping[str, Fraction]) -> dict[str, Fraction]:

@@ -36,6 +36,7 @@ from .graphcore import (
     edge_key,
     is_bipartite,
     pull_back,
+    uncovered_edge,
 )
 from .matching import matching_number
 
@@ -63,7 +64,7 @@ class GbsInstance:
             raise PreconditionError("edge classes overlap")
         if s1 | s2 != self.graph.edge_set:
             raise PreconditionError("edge classes do not partition the edge set")
-        if not isinstance(self.nu, int) or self.nu < 0:
+        if not isinstance(self.nu, int) or isinstance(self.nu, bool) or self.nu < 0:
             raise PreconditionError(f"budget must be a nonnegative integer, got {self.nu!r}")
 
 
@@ -162,23 +163,6 @@ def relaxation_value(inst: GbsInstance) -> Fraction:
     return sol.objective
 
 
-def _check_point_feasible(inst: GbsInstance, x: Mapping[str, Fraction], z: Mapping[Edge, Fraction]) -> None:
-    for v, val in x.items():
-        if val < 0:
-            raise InternalInvariantError(f"negative allocation at {v}")
-    for e, val in z.items():
-        if val < 0:
-            raise InternalInvariantError(f"negative edge variable at {e}")
-    for u, v in inst.e1:
-        if x[u] + x[v] + z[(u, v)] < 1:
-            raise InternalInvariantError(f"droppable-edge constraint violated at {u}-{v}")
-    for u, v in inst.e2:
-        if x[u] + x[v] < 1:
-            raise InternalInvariantError(f"protected-edge constraint violated at {u}-{v}")
-    if sum(x.values(), _Z) > inst.nu:
-        raise InternalInvariantError("budget constraint violated")
-
-
 def _uniform_alpha(values: Iterable[Fraction]) -> Fraction:
     """The single fractional level of a budget-tight fractional vertex.
 
@@ -195,23 +179,24 @@ def _uniform_alpha(values: Iterable[Fraction]) -> Fraction:
     return max(lo, 1 - lo)
 
 
-def solve_gbs_lp(inst: GbsInstance, with_classification: bool = True) -> ExtremePoint:
+def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
     """Optimal basic solution of the relaxation, classified when positive.
 
-    With classification enabled the instance graph must be bipartite;
-    fractional solutions are then checked against the two-level value
-    structure, and a returned BadPartition has passed all shape checks.
-    Zero-value solutions are never classified: the caller terminates on
-    them directly.
+    The instance graph must be bipartite: fractional solutions are
+    checked against the two-level value structure, and a returned
+    BadPartition has passed all shape checks.  Zero-value solutions are
+    never classified: the caller terminates on them directly.
     """
     lp, e1_rows, e2_rows, budget_row = _build_lp(inst)
     sol = exactlp.solve(lp)
     if sol.status != exactlp.OPTIMAL:
         raise InternalInvariantError(f"relaxation not solvable: {sol.status}")
+    bad = exactlp.violations(lp, sol.values)
+    if bad:
+        raise InternalInvariantError(f"relaxation solution infeasible: {'; '.join(bad)}")
     g = inst.graph
     x = {v: sol.values[f"x {v}"] for v in g.vertices}
     z = {(u, v): sol.values[f"z {u} {v}"] for u, v in inst.e1}
-    _check_point_feasible(inst, x, z)
 
     tight_e1 = frozenset(e for e, row in e1_rows.items() if row in sol.defining_rows)
     tight_e2 = frozenset(e for e, row in e2_rows.items() if row in sol.defining_rows)
@@ -221,7 +206,7 @@ def solve_gbs_lp(inst: GbsInstance, with_classification: bool = True) -> Extreme
     )
 
     alpha = None
-    if with_classification and fractional:
+    if fractional:
         if not budget_tight:
             raise InternalInvariantError(
                 "fractional basic solution without a tight budget row on a bipartite instance"
@@ -238,7 +223,7 @@ def solve_gbs_lp(inst: GbsInstance, with_classification: bool = True) -> Extreme
         budget_tight=budget_tight,
         classification=None,
     )
-    if with_classification and sol.objective > 0:
+    if sol.objective > 0:
         ep = replace(ep, classification=classify(ep, inst))
     return ep
 
@@ -376,9 +361,9 @@ def _assert_node_invariants(
     omega: Fraction,
     lp_value: Fraction,
 ) -> None:
-    for u, v in inst.graph.edges:
-        if (u, v) not in blocked and x[u] + x[v] < 1:
-            raise InternalInvariantError(f"I1 violated at {u}-{v}")
+    bare = uncovered_edge((e for e in inst.graph.edges if e not in blocked), x)
+    if bare is not None:
+        raise InternalInvariantError(f"I1 violated at {bare[0]}-{bare[1]}")
     if sum(x.values(), _Z) > inst.nu:
         raise InternalInvariantError("I2 violated")
     if len(blocked) > (2 * omega + 1) * lp_value:
@@ -589,9 +574,9 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
         x, blocked = pull_back(d, xh, bh)
         factor = 8 * om + 2
 
-    for u, v in g.edges:
-        if (u, v) not in blocked and x[u] + x[v] < 1:
-            raise InternalInvariantError(f"final cover violated at {u}-{v}")
+    bare = uncovered_edge((e for e in g.edges if e not in blocked), x)
+    if bare is not None:
+        raise InternalInvariantError(f"final cover violated at {bare[0]}-{bare[1]}")
     if sum(x.values(), _Z) > inst.nu:
         raise InternalInvariantError("final allocation exceeds the budget")
 

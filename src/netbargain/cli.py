@@ -46,6 +46,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _edge_pairs(obj: dict, key: str) -> tuple[tuple[str, str], ...]:
+    items = obj[key]
+    if not isinstance(items, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in items
+    ):
+        raise InputError(f"'{key}' must be a list of vertex-name pairs")
+    return tuple((u, v) for u, v in items)
+
+
 def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
     """Read an edge-list file or an instance/graph JSON file.
 
@@ -57,9 +66,11 @@ def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    text = raw.decode("utf-8", errors="strict") if raw else ""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from None
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -70,33 +81,26 @@ def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
             for key in ("e1", "e2", "nu"):
                 if key not in obj:
                     raise InputError(f"instance JSON must carry e1, e2 and nu (missing {key})")
-            if not isinstance(obj["nu"], int):
+            if not isinstance(obj["nu"], int) or isinstance(obj["nu"], bool):
                 raise InputError("'nu' must be an integer")
-            e1 = [tuple(e) for e in obj["e1"]]
-            e2 = [tuple(e) for e in obj["e2"]]
             try:
-                inst = blockset.GbsInstance(g, tuple(e1), tuple(e2), obj["nu"])
+                e1, e2 = _edge_pairs(obj, "e1"), _edge_pairs(obj, "e2")
+                inst = blockset.GbsInstance(g, e1, e2, obj["nu"])
             except PreconditionError as exc:
                 raise InputError(f"bad instance JSON: {exc}") from None
         return g, inst, raw
-    return parse_edge_list(raw), None, raw
+    return parse_edge_list(text), None, raw
 
 
 def _resolve_omega(g: Graph, flag: str | None) -> Fraction:
-    computed = None
     if flag is None:
         return compute_sparsity(g).omega
     override = parse_rational(flag)
     if override < 1:
         raise InputError("--omega must be at least 1")
-    # full validation is exact only in the enumeration regime; beyond it the
-    # global density check plus the runtime invariants backstop soundness
-    if g.n <= 20:
-        computed = compute_sparsity(g).omega
-        if override < computed:
-            raise InputError(f"--omega {override} is below the computed sparsity {computed}")
-    elif g.n and Fraction(g.m, g.n) > override:
-        raise InputError(f"--omega {override} is below the global density {Fraction(g.m, g.n)}")
+    computed = compute_sparsity(g).omega
+    if override < computed:
+        raise InputError(f"--omega {override} is below the computed sparsity {computed}")
     return override
 
 

@@ -1,10 +1,13 @@
 """Exact rational linear programming via two-phase primal simplex.
 
-All arithmetic is over `Fraction`; there is no floating-point phase, so
-callers can compare solution values against thresholds like 1/3 exactly.
-The solver returns optimal *basic* solutions (vertices of the feasible
-region), row duals, and the tight-set bookkeeping needed by callers that
-reason about the defining system of an extreme point.
+Every LP is `min` or `max` of a linear objective over nonnegative
+variables subject to `<=`, `=` and `>=` rows; there are no other
+variable bounds.  All arithmetic is over `Fraction`; there is no
+floating-point phase, so callers can compare solution values against
+thresholds like 1/3 exactly.  The solver returns optimal *basic*
+solutions (vertices of the feasible region), row duals, and the rows
+that define the returned vertex.  `violations` checks any point against
+an LP's rows and nonnegativity.
 
 Pivoting uses Bland's rule over the canonical variable order, which
 guarantees termination and makes every solve deterministic.
@@ -38,11 +41,10 @@ class Constraint:
 
 
 class LpProblem:
-    """Linear program builder over named variables.
+    """Linear program over named nonnegative variables, built row by row.
 
-    Variables carry a finite lower bound (default 0) and an optional
-    upper bound.  The variable order given at construction is the
-    canonical order used for deterministic pivoting.
+    The variable order given at construction is the canonical order used
+    for deterministic pivoting.
     """
 
     def __init__(self, name: str, sense: str, variables: Sequence[str]):
@@ -56,8 +58,6 @@ class LpProblem:
         self._index = {v: i for i, v in enumerate(self.variables)}
         self.objective: dict[str, Fraction] = {}
         self.constraints: list[Constraint] = []
-        self.lower: dict[str, Fraction] = {}
-        self.upper: dict[str, Fraction] = {}
 
     def _check_vars(self, coeffs: Mapping[str, object]) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
@@ -78,52 +78,23 @@ class LpProblem:
         self.constraints.append(Constraint(self._check_vars(coeffs), rel, Fraction(rhs), name))
         return len(self.constraints) - 1
 
-    def set_bounds(self, var: str, lower: object = 0, upper: object | None = None) -> None:
-        if var not in self._index:
-            raise ValueError(f"unknown variable {var!r}")
-        self.lower[var] = Fraction(lower)
-        if upper is not None:
-            up = Fraction(upper)
-            if up < self.lower[var]:
-                raise ValueError(f"empty bound interval for {var!r}")
-            self.upper[var] = up
-        else:
-            self.upper.pop(var, None)
-
-    def describe(self) -> str:
-        """Deterministic human-readable dump, for debugging only."""
-        obj = " + ".join(f"{c}*{v}" for v, c in sorted(self.objective.items())) or "0"
-        lines = [f"{self.sense} {obj}"]
-        for i, con in enumerate(self.constraints):
-            lhs = " + ".join(f"{c}*{v}" for v, c in sorted(con.coeffs.items())) or "0"
-            label = con.name or f"row{i}"
-            lines.append(f"  [{label}] {lhs} {con.rel} {con.rhs}")
-        for v in self.variables:
-            lo = self.lower.get(v, _Z)
-            hi = self.upper.get(v)
-            lines.append(f"  {lo} <= {v}" + (f" <= {hi}" if hi is not None else ""))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class LpSolution:
     """Solve result.
 
-    `defining_rows` are the user constraints that participate in the
-    full-rank tight system the simplex basis selects; together with
-    `defining_vars` (variables pinned at a bound) they determine the
-    returned point uniquely.  `duals` follow the convention under which
-    the dual objective equals the primal one (see `check_certificates`).
+    `defining_rows` are the constraints that participate in the
+    full-rank tight system the simplex basis selects; together with the
+    nonbasic variables (all at 0) they determine the returned point
+    uniquely.  `duals` follow the convention under which the dual
+    objective equals the primal one (see `check_certificates`).
     """
 
     status: str
     values: dict[str, Fraction] = field(default_factory=dict)
     objective: Fraction | None = None
     duals: tuple[Fraction, ...] = ()
-    tight_rows: frozenset[int] = frozenset()
     defining_rows: frozenset[int] = frozenset()
-    defining_vars: frozenset[str] = frozenset()
-    farkas: tuple[Fraction, ...] | None = None
 
 
 class _Tableau:
@@ -195,8 +166,6 @@ class _Row:
     coeffs: list[Fraction]
     rel: str
     rhs: Fraction
-    user_index: int | None    # None for internal upper-bound rows
-    ub_var: str | None
     flipped: bool = False
     slack_col: int = -1       # slack (<=) or surplus (>=) column
     art_col: int = -1
@@ -211,21 +180,14 @@ def solve(p: LpProblem) -> LpSolution:
     the identical solution.
     """
     n = len(p.variables)
-    lower = [p.lower.get(v, _Z) for v in p.variables]
     cost_user = [Fraction(p.objective.get(v, 0)) for v in p.variables]
 
     rows: list[_Row] = []
-    for ui, con in enumerate(p.constraints):
+    for con in p.constraints:
         dense = [_Z] * n
         for v, c in con.coeffs.items():
             dense[p._index[v]] = c
-        shift = sum((dense[j] * lower[j] for j in range(n)), _Z)
-        rows.append(_Row(dense, con.rel, con.rhs - shift, ui, None))
-    for j, v in enumerate(p.variables):
-        if v in p.upper:
-            dense = [_Z] * n
-            dense[j] = _ONE
-            rows.append(_Row(dense, LE, p.upper[v] - lower[j], None, v))
+        rows.append(_Row(dense, con.rel, con.rhs))
 
     for row in rows:
         if row.rhs < 0:
@@ -279,12 +241,7 @@ def solve(p: LpProblem) -> LpSolution:
             (cost1[b] * tab.rows[i][-1] for i, b in enumerate(tab.basis)), _Z
         )
         if phase1_value > 0:
-            farkas = tuple(
-                _user_dual(tab, cost1, row, p.sense)
-                for row in rows
-                if row.user_index is not None
-            )
-            return LpSolution(status=INFEASIBLE, farkas=farkas)
+            return LpSolution(status=INFEASIBLE)
         _drive_out_artificials(tab, owners, art_set)
 
     sense_factor = _ONE if p.sense == "min" else -_ONE
@@ -293,27 +250,26 @@ def solve(p: LpProblem) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
-    shifted = [_Z] * n
+    point = [_Z] * n
     for i, b in enumerate(tab.basis):
         if b < n:
-            shifted[b] = tab.rows[i][-1]
-    values = {v: shifted[j] + lower[j] for j, v in enumerate(p.variables)}
-    objective = sum((cost_user[j] * values[p.variables[j]] for j in range(n)), _Z)
+            point[b] = tab.rows[i][-1]
+    values = dict(zip(p.variables, point))
+    objective = sum((c * x for c, x in zip(cost_user, point)), _Z)
 
-    duals = tuple(
-        _user_dual(tab, cost2, row, p.sense) for row in rows if row.user_index is not None
-    )
+    duals = tuple(_user_dual(tab, cost2, row, p.sense) for row in rows)
     basis_set = set(tab.basis)
-    tight, defining_rows = _tight_sets(p, rows, values, basis_set)
-    defining_vars = _defining_vars(p, rows, basis_set, n)
+    defining_rows = frozenset(
+        i
+        for i, row in enumerate(rows)
+        if not row.dead and (row.rel == EQ or row.slack_col not in basis_set)
+    )
     return LpSolution(
         status=OPTIMAL,
         values=values,
         objective=objective,
         duals=duals,
-        tight_rows=tight,
         defining_rows=defining_rows,
-        defining_vars=defining_vars,
     )
 
 
@@ -348,34 +304,26 @@ def _user_dual(tab: _Tableau, costs: list[Fraction], row: _Row, sense: str) -> F
     return y
 
 
-def _tight_sets(
-    p: LpProblem,
-    rows: list[_Row],
-    values: dict[str, Fraction],
-    basis_set: set[int],
-) -> tuple[frozenset[int], frozenset[int]]:
-    tight = set()
-    defining = set()
-    for row in rows:
-        if row.user_index is None:
-            continue
-        con = p.constraints[row.user_index]
-        lhs = sum((c * values[v] for v, c in con.coeffs.items()), _Z)
-        if lhs == con.rhs:
-            tight.add(row.user_index)
-        if row.dead:
-            continue
-        if row.rel == EQ or row.slack_col not in basis_set:
-            defining.add(row.user_index)
-    return frozenset(tight), frozenset(defining)
+def _lhs(con: Constraint, point: Mapping[str, Fraction]) -> Fraction:
+    return sum((c * point[v] for v, c in con.coeffs.items()), _Z)
 
 
-def _defining_vars(p: LpProblem, rows: list[_Row], basis_set: set[int], n: int) -> frozenset[str]:
-    pinned = {v for j, v in enumerate(p.variables) if j not in basis_set}
-    for row in rows:
-        if row.ub_var is not None and not row.dead and row.slack_col not in basis_set:
-            pinned.add(row.ub_var)
-    return frozenset(pinned)
+def violations(p: LpProblem, point: Mapping[str, Fraction]) -> list[str]:
+    """Every way `point` fails to be feasible for `p`, in a fixed order.
+
+    Checks that each variable has a value, then nonnegativity, then
+    every row in construction order.  An empty list means feasible.
+    """
+    missing = [v for v in p.variables if v not in point]
+    if missing:
+        return [f"missing value for {v}" for v in missing]
+    out = [f"{v} negative: {point[v]}" for v in p.variables if point[v] < 0]
+    for i, con in enumerate(p.constraints):
+        lhs = _lhs(con, point)
+        ok = lhs <= con.rhs if con.rel == LE else lhs >= con.rhs if con.rel == GE else lhs == con.rhs
+        if not ok:
+            out.append(f"constraint {i} ({con.name or con.rel}) violated: {lhs} vs {con.rhs}")
+    return out
 
 
 def check_certificates(p: LpProblem, s: LpSolution) -> list[str]:
@@ -386,28 +334,10 @@ def check_certificates(p: LpProblem, s: LpSolution) -> list[str]:
     """
     if s.status != OPTIMAL:
         raise PreconditionError("check_certificates requires an optimal solution")
-    out: list[str] = []
     vals = s.values
-    for v in p.variables:
-        x = vals.get(v)
-        if x is None:
-            out.append(f"missing value for {v}")
-            return out
-        lo = p.lower.get(v, _Z)
-        hi = p.upper.get(v)
-        if x < lo:
-            out.append(f"{v} below lower bound: {x} < {lo}")
-        if hi is not None and x > hi:
-            out.append(f"{v} above upper bound: {x} > {hi}")
-
-    slacks: list[Fraction] = []
-    for i, con in enumerate(p.constraints):
-        lhs = sum((c * vals[v] for v, c in con.coeffs.items()), _Z)
-        slacks.append(lhs - con.rhs)
-        ok = lhs <= con.rhs if con.rel == LE else lhs >= con.rhs if con.rel == GE else lhs == con.rhs
-        if not ok:
-            out.append(f"constraint {i} ({con.name or con.rel}) violated: {lhs} vs {con.rhs}")
-
+    out = violations(p, vals)
+    if any(v not in vals for v in p.variables):
+        return out
     if len(s.duals) != len(p.constraints):
         out.append("dual vector length mismatch")
         return out
@@ -418,36 +348,23 @@ def check_certificates(p: LpProblem, s: LpSolution) -> list[str]:
             out.append(f"dual sign violated on <= row {i}: {y}")
         if con.rel == GE and ((is_min and y < 0) or (not is_min and y > 0)):
             out.append(f"dual sign violated on >= row {i}: {y}")
-        if y != 0 and slacks[i] != 0:
+        if y != 0 and _lhs(con, vals) != con.rhs:
             out.append(f"complementary slackness violated on row {i}")
 
+    # every variable's only bound is 0, so reduced costs add nothing to the
+    # dual objective; they must have the sign that keeps the variable there
     dual_obj = sum((y * con.rhs for y, con in zip(s.duals, p.constraints)), _Z)
     for v in p.variables:
         c = Fraction(p.objective.get(v, 0))
         r = c - sum(
             (s.duals[i] * con.coeffs.get(v, _Z) for i, con in enumerate(p.constraints)), _Z
         )
-        x = vals[v]
-        lo = p.lower.get(v, _Z)
-        hi = p.upper.get(v)
-        at_lo = x == lo
-        at_hi = hi is not None and x == hi
-        if is_min:
-            if r > 0 and not at_lo:
-                out.append(f"reduced cost of {v} positive but not at lower bound")
-            if r < 0 and not at_hi:
-                out.append(f"reduced cost of {v} negative but not at upper bound")
-        else:
-            if r < 0 and not at_lo:
-                out.append(f"reduced cost of {v} negative but not at lower bound")
-            if r > 0 and not at_hi:
-                out.append(f"reduced cost of {v} positive but not at upper bound")
-        # a positive reduced cost pins the variable at a bound: the lower one
-        # when minimizing, the upper one when maximizing (mirrored for negative)
-        if r > 0:
-            dual_obj += r * (lo if is_min else (hi if hi is not None else lo))
-        elif r < 0:
-            dual_obj += r * ((hi if hi is not None else lo) if is_min else lo)
+        if not is_min:
+            r = -r
+        if r > 0 and vals[v] != 0:
+            out.append(f"reduced cost of {v} pins it at 0 but it is {vals[v]}")
+        if r < 0:
+            out.append(f"dual infeasible at {v}: reduced cost {r} has the wrong sign")
     if s.objective != dual_obj:
         out.append(f"duality gap: primal {s.objective} vs dual {dual_obj}")
     return out

@@ -81,9 +81,6 @@ class Graph:
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self.edge_set
-
     def without_vertex(self, v: str) -> "Graph":
         """Graph with `v` and all incident edges removed."""
         return Graph(
@@ -99,6 +96,11 @@ class Graph:
     def induced_edge_count(self, subset: Iterable[str]) -> int:
         s = set(subset)
         return sum(1 for u, v in self.edges if u in s and v in s)
+
+
+def uncovered_edge(edges: Iterable[Edge], x: Mapping[str, Fraction]) -> Edge | None:
+    """First edge uv with x[u] + x[v] < 1, or None when x covers every edge."""
+    return next(((u, v) for u, v in edges if x[u] + x[v] < 1), None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +265,41 @@ class _Dinic:
                     q.append(e[0])
         return self.level[t] >= 0
 
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.it[u] < len(self.graph[u]):
-            e = self.graph[u][self.it[u]]
-            v = e[0]
-            if e[1] > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, e[1]))
-                if d > 0:
-                    e[1] -= d
-                    self.graph[v][e[2]][1] += d
-                    return d
-            self.it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int) -> int:
+        """Push flow along the first s-t path of the level graph; 0 if none is left.
+
+        Depth-first with an explicit stack of (tail, edge) pairs.  An edge
+        leading to a dead end advances its tail's edge pointer; an edge on
+        an augmenting path keeps it, as it may carry more flow later.
+        """
+        path: list[tuple[int, list[int]]] = []
+        u = s
+        while u != t:
+            adj = self.graph[u]
+            while self.it[u] < len(adj):
+                e = adj[self.it[u]]
+                if e[1] > 0 and self.level[e[0]] == self.level[u] + 1:
+                    path.append((u, e))
+                    u = e[0]
+                    break
+                self.it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u, _ = path.pop()
+                self.it[u] += 1
+        f = min(e[1] for _, e in path)
+        for _, e in path:
+            e[1] -= f
+            self.graph[e[0]][e[2]][1] += f
+        return f
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                f = self._dfs(s, t, 1 << 62)
+                f = self._augment(s, t)
                 if f == 0:
                     break
                 flow += f

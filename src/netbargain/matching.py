@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import exactlp
 from .errors import InternalInvariantError, PreconditionError
-from .graphcore import Edge, Graph, edge_key
+from .graphcore import Edge, Graph, edge_key, uncovered_edge
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,8 @@ def _assert_stable(g: Graph, nu: int, x: dict[str, Fraction]) -> None:
     total = sum(x.values(), Fraction(0))
     if total != nu:
         raise InternalInvariantError(f"witness total {total} != {nu}")
-    for u, v in g.edges:
-        if x[u] + x[v] < 1:
-            raise InternalInvariantError(f"witness uncovered edge {u}-{v}")
+    bare = uncovered_edge(g.edges, x)
+    if bare is not None:
+        raise InternalInvariantError(f"witness uncovered edge {bare[0]}-{bare[1]}")
     if any(val < 0 for val in x.values()):
         raise InternalInvariantError("negative witness entry")

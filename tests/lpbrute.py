@@ -1,8 +1,8 @@
 """Exhaustive vertex enumeration for tiny LPs; independent solver oracle.
 
-Every n-subset of the tight-able constraints (rows plus variable bounds)
-is solved as an exact square system; feasible solutions are the vertices
-of the polyhedron.  Deliberately shares no code with the simplex.
+Every n-subset of the tight-able constraints (rows plus the x >= 0
+bounds) is solved as an exact square system; feasible solutions are the
+vertices of the polyhedron.  Deliberately shares no code with the simplex.
 """
 
 from fractions import Fraction
@@ -42,9 +42,7 @@ def _all_rows(lp: exactlp.LpProblem):
     for v in lp.variables:
         e = [_Z] * n
         e[idx[v]] = Fraction(1)
-        rows.append((e, exactlp.GE, lp.lower.get(v, _Z)))
-        if v in lp.upper:
-            rows.append((list(e), exactlp.LE, lp.upper[v]))
+        rows.append((e, exactlp.GE, _Z))
     return rows
 
 

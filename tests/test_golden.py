@@ -1,0 +1,61 @@
+"""Golden digests of `netbargain balance` on a few small fixed inputs.
+
+Each report's stdout is hashed and compared with a digest recorded from
+an earlier release of the solver.  A refactor that claims byte-identical
+output must leave every digest in place; a change that moves one on
+purpose updates it here and says why in CHANGES.md.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from netbargain import cli
+from netbargain.graphcore import Graph, edge_list_text
+
+import corpus
+
+
+def random_tree(seed: int, n: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.build([(f"t{i}", f"t{rng.randrange(i)}") for i in range(1, n)])
+
+
+GOLDEN = {
+    "corpus1": "1b4620c441a8e1e95f05969701f2045fcc804800927736f3b29bc478c2ef2141",
+    "corpus2": "2605d59a892a6470bd92dec50baa0e5173d09a8d18c538ab8e32dac1c0e8a0d0",
+    "corpus3": "d05b429d2b41f782e9a9fccc1af0d3094fa25c3c9545b726454c12e8c4065383",
+    "corpus4": "2c6c4bd05b0bccde3f01df3c677ca22ea0fac87ae8c1eeeb22e178c88c3a7b68",
+    "corpus5": "9eb72241dfc0570c5318a4980e08fd3c9fc500af2bf981adf4bce3f609febf81",
+    "corpus6": "65e98946fd5c8bc32dd52d341b1d598b447b5e9ce402f747df2d4634c5cf6aa2",
+    "corpus7": "4b9377a5fe8bb8835d506cbe40519688869231e96a63b74d06363a7271660188",
+    "corpus8": "6478cbbe7be4fdd6ef273a492fee74a706768e5c3900401410ecb11ddc4a042c",
+    "tree10": "c07a0caf48adbc4395543e545d7664006fe9e5d88a920b9779219aed5a08acf5",
+    "p4": "a8b7b85154a2ab002c987380e3400f549c3dce04c3e8f0769f3553088c2de36b",
+    "gap1": "2ba4555b03b11627fb3f585b023bdc98e54f0f3bf882636f2c32bab8b59cd8bc",
+}
+
+
+def _input_file(name: str, tmp_path, capsys) -> str:
+    path = tmp_path / (name + ".in")
+    if name == "gap1":
+        assert cli.main(["gen", "gap", "--n", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+    if name.startswith("corpus"):
+        g = corpus.corpus_graph(int(name[len("corpus"):]))
+    elif name == "tree10":
+        g = random_tree(5, 10)
+    else:
+        g = corpus.p4()
+    path.write_text(edge_list_text(g))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_balance_report_digest(name, tmp_path, capsys):
+    path = _input_file(name, tmp_path, capsys)
+    assert cli.main(["balance", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]

@@ -142,6 +142,23 @@ def test_flow_path_on_larger_graph():
     assert set(sp.witness) == set(vs)
 
 
+def test_flow_path_on_long_path_needs_no_recursion():
+    # the augmenting path runs the whole 2001-vertex path: far past the
+    # recursion limit of a recursive depth-first search
+    names = [f"p{i:04d}" for i in range(2001)]
+    g = gc.Graph.build(list(zip(names, names[1:])))
+    assert gc.compute_sparsity(g).density == Fraction(2000, 2001)
+
+
+def test_uncovered_edge_finds_first_bare_edge():
+    edges = [("a", "b"), ("b", "c"), ("c", "d")]
+    x = {"a": Fraction(1), "b": Fraction(0), "c": Fraction(1, 2), "d": Fraction(1, 3)}
+    assert gc.uncovered_edge(edges, x) == ("b", "c")
+    x["c"] = Fraction(1)
+    assert gc.uncovered_edge(edges, x) is None
+    assert gc.uncovered_edge([], {}) is None
+
+
 # -- bipartiteness and doubling ---------------------------------------------
 
 
