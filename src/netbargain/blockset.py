@@ -497,20 +497,16 @@ def pick_min_degree_removals(
 def bad_leaf_round(
     inst: GbsInstance,
     bad: BadPartition,
-    omega: Fraction | None = None,
-    lp_value: Fraction | None = None,
+    omega: Fraction,
+    lp_value: Fraction,
 ) -> tuple[dict[str, Fraction], frozenset[Edge]]:
     """Direct rounding of a uniformly fractional extreme point.
 
     Keeps a unit allocation on all but the |Y|-budget lowest-degree
     high-side vertices and blocks every edge at the removed ones.
     """
-    om = Fraction(omega) if omega is not None else compute_sparsity(inst.graph).omega
-    value = lp_value if lp_value is not None else relaxation_value(inst)
     y_side = list(bad.y_side)
     nu = inst.nu
-    if not isinstance(nu, int):
-        raise InternalInvariantError("budget must be integral at a fractional leaf")
     if not (2 * nu > len(bad.x_side) + len(y_side) and nu < len(y_side)):
         raise InternalInvariantError("fractional-leaf budget bounds violated")
 
@@ -519,9 +515,9 @@ def bad_leaf_round(
     removed = {v for v, _ in picked}
 
     degree_sum = sum(d for _, d in picked)
-    if degree_sum > 2 * om * surplus:
+    if degree_sum > 2 * omega * surplus:
         raise InternalInvariantError(
-            f"greedy degree bound violated: {degree_sum} > 2*{om}*{surplus}"
+            f"greedy degree bound violated: {degree_sum} > 2*{omega}*{surplus}"
         )
 
     keep = set(y_side) - removed
@@ -530,7 +526,7 @@ def bad_leaf_round(
 
     if sum(x.values(), _Z) != nu:
         raise InternalInvariantError("fractional-leaf allocation total != budget")
-    _assert_node_invariants(inst, x, blocked, om, value)
+    _assert_node_invariants(inst, x, blocked, omega, lp_value)
     return x, blocked
 
 

@@ -108,7 +108,7 @@ def _alloc_json(alloc: dict[str, Fraction]) -> dict[str, str]:
     return {v: rational_str(val) for v, val in sorted(alloc.items())}
 
 
-def _core_section(g: Graph) -> dict:
+def _core_section(g: Graph) -> tuple[dict, int]:
     report = matching.core_status(g)
     section = {
         "status": report.status,
@@ -192,6 +192,8 @@ def cmd_balance(args) -> int:
 
 
 def cmd_oracle_min_blockset(args) -> int:
+    if min(args.nu or 0, args.max_size or 0) < 0:
+        raise InputError("--nu and --max-size must be nonnegative")
     g, inst, raw = _load_input(args.file)
     if args.nu is not None:
         nu = args.nu

@@ -21,17 +21,21 @@ from .graphcore import Edge, Graph, edge_key, uncovered_edge
 class Matching:
     edges: tuple[Edge, ...]
     exposed: tuple[str, ...]
+    inessential: tuple[str, ...]  # exposed by some maximum matching
 
     @property
     def size(self) -> int:
         return len(self.edges)
 
 
-def _blossom(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum cardinality matching on vertices 0..n-1; returns the mate array."""
+def _blossom(n: int, adj: list[list[int]]) -> tuple[list[int], set[int]]:
+    """Maximum matching on vertices 0..n-1: the mate array, and the vertices that
+    an even alternating path reaches from an exposed vertex.  By Gallai-Edmonds
+    these are exactly the vertices that some maximum matching exposes."""
     match = [-1] * n
     p = [-1] * n
     base = list(range(n))
+    used: list[bool] = []
 
     def lca(a: int, b: int) -> int:
         used = [False] * n
@@ -56,7 +60,7 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
             v = p[match[v]]
 
     def find_path(root: int) -> int:
-        nonlocal p, base
+        nonlocal p, base, used
         used = [False] * n
         p = [-1] * n
         base = list(range(n))
@@ -96,11 +100,17 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
                 match[end] = pv
                 match[pv] = end
                 end = ppv
-    return match
+
+    # with no augmenting path left, a search marks exactly its even-reachable vertices
+    even: set[int] = set()
+    for root in (v for v in range(n) if match[v] == -1):
+        if find_path(root) != -1:
+            raise InternalInvariantError("augmenting path left after the last augmentation")
+        even.update(i for i in range(n) if used[i])
+    return match, even
 
 
-def max_matching(g: Graph) -> Matching:
-    """Maximum cardinality matching; deterministic for a fixed graph."""
+def _adjacency(g: Graph) -> list[list[int]]:
     index = {v: i for i, v in enumerate(g.vertices)}
     adj: list[list[int]] = [[] for _ in g.vertices]
     for u, v in g.edges:
@@ -108,14 +118,20 @@ def max_matching(g: Graph) -> Matching:
         adj[index[v]].append(index[u])
     for lst in adj:
         lst.sort()
-    mate = _blossom(g.n, adj)
+    return adj
+
+
+def max_matching(g: Graph) -> Matching:
+    """Maximum cardinality matching; deterministic for a fixed graph."""
+    mate, even = _blossom(g.n, _adjacency(g))
     edges = sorted(
         edge_key(g.vertices[i], g.vertices[j])
         for i, j in enumerate(mate)
         if j != -1 and i < j
     )
     exposed = tuple(v for i, v in enumerate(g.vertices) if mate[i] == -1)
-    return Matching(tuple(edges), exposed)
+    inessential = tuple(v for i, v in enumerate(g.vertices) if i in even)
+    return Matching(tuple(edges), exposed, inessential)
 
 
 def matching_number(g: Graph) -> int:
@@ -123,30 +139,18 @@ def matching_number(g: Graph) -> int:
 
 
 def inessential_vertices(g: Graph) -> tuple[str, ...]:
-    """Vertices exposed by at least one maximum matching.
-
-    Decided by the direct test: v is inessential iff removing it does
-    not reduce the matching number.
-    """
-    nu = matching_number(g)
-    return tuple(v for v in g.vertices if matching_number(g.without_vertex(v)) == nu)
+    """Vertices exposed by at least one maximum matching."""
+    return max_matching(g).inessential
 
 
 def fractional_matching_value(g: Graph) -> Fraction:
-    """Optimum of the degree-constrained fractional matching relaxation."""
-    if g.m == 0:
-        return Fraction(0)
-    names = [f"y {u} {v}" for u, v in g.edges]
-    lp = exactlp.LpProblem("fractional-matching", "max", names)
-    lp.set_objective({name: 1 for name in names})
-    for v in g.vertices:
-        incident = {f"y {a} {b}": 1 for a, b in g.edges if v in (a, b)}
-        if incident:
-            lp.add_constraint(incident, exactlp.LE, 1, name=f"deg {v}")
-    sol = exactlp.solve(lp)
-    if sol.status != exactlp.OPTIMAL:
-        raise InternalInvariantError("fractional matching relaxation must be solvable")
-    return sol.objective
+    """Optimum of the degree-constrained fractional matching relaxation.
+
+    By Balinski it is half the matching number of the bipartite double cover,
+    where vertex i becomes i and n + i, and edge ij is (i, n + j) and (j, n + i)."""
+    adj = _adjacency(g)
+    mate, _ = _blossom(2 * g.n, [[g.n + j for j in nbrs] for nbrs in adj] + adj)
+    return Fraction(sum(j != -1 for j in mate), 4)
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,20 @@ class CoreReport:
     offending_edge: Edge | None
 
 
-def _stable_system(g: Graph, nu: int) -> exactlp.LpProblem:
+def _stable_allocation(g: Graph, nu: int) -> dict[str, Fraction] | None:
+    """A nonnegative allocation of nu covering every edge, or None if none exists."""
+    if g.n == 0:
+        return {}
     names = [f"x {v}" for v in g.vertices]
     lp = exactlp.LpProblem("stable-allocation", "min", names)
     lp.set_objective({name: 1 for name in names})
     for u, v in g.edges:
         lp.add_constraint({f"x {u}": 1, f"x {v}": 1}, exactlp.GE, 1, name=f"edge {u} {v}")
     lp.add_constraint({name: 1 for name in names}, exactlp.EQ, nu, name="total")
-    return lp
+    sol = exactlp.solve(lp)
+    if sol.status != exactlp.OPTIMAL:
+        return None
+    return {v: sol.values[f"x {v}"] for v in g.vertices}
 
 
 def stable_allocation(g: Graph) -> dict[str, Fraction]:
@@ -181,39 +191,29 @@ def stable_allocation(g: Graph) -> dict[str, Fraction]:
 
     Raises PreconditionError when no such allocation exists.
     """
-    nu = matching_number(g)
-    if g.n == 0:
-        return {}
-    sol = exactlp.solve(_stable_system(g, nu))
-    if sol.status != exactlp.OPTIMAL:
+    x = _stable_allocation(g, matching_number(g))
+    if x is None:
         raise PreconditionError("no stable allocation exists for this graph")
-    return {v: sol.values[f"x {v}"] for v in g.vertices}
+    return x
 
 
 def core_status(g: Graph) -> CoreReport:
-    nu = matching_number(g)
+    m = max_matching(g)
+    nu, iness = m.size, m.inessential
     frac = fractional_matching_value(g)
-    iness = inessential_vertices(g)
     iness_set = set(iness)
     offending = next(
         (e for e in g.edges if e[0] in iness_set and e[1] in iness_set), None
     )
+    witness = _stable_allocation(g, nu)
 
-    by_lp_gap = frac == nu
+    by_fractional_gap = frac == nu
     by_adjacency = offending is None
-    if g.n == 0:
-        feasible, witness = True, {}
-    else:
-        sol = exactlp.solve(_stable_system(g, nu))
-        feasible = sol.status == exactlp.OPTIMAL
-        witness = (
-            {v: sol.values[f"x {v}"] for v in g.vertices} if feasible else None
-        )
-
-    if not (by_lp_gap == by_adjacency == feasible):
+    feasible = witness is not None
+    if not (by_fractional_gap == by_adjacency == feasible):
         raise InternalInvariantError(
             "stability criteria disagree: "
-            f"lp-gap={by_lp_gap} adjacency={by_adjacency} feasible={feasible}"
+            f"fractional-gap={by_fractional_gap} adjacency={by_adjacency} feasible={feasible}"
         )
 
     if feasible:

@@ -1,9 +1,9 @@
 """Independent brute-force ground truth and instance generators.
 
-Nothing here shares algorithmic code with the main pipeline: matchings
-are found by exhaustive branching or by augmenting paths on a two-copy
-graph built locally, and blocking sets by subset enumeration.  That
-independence is what makes these results usable as test oracles.
+The yes/no answers share no algorithmic code with the main pipeline, so they
+can serve as test oracles: matchings come from exhaustive branching or a local
+two-copy graph, blocking sets from subset enumeration.  Only `_cover_witness`
+(an `exactlp` solve) and `gen_sparse` (`compute_sparsity`) call into the pipeline.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def gen_sparse(
     target = Fraction(omega_target)
     if target < 1:
         raise InputError("sparsity target must be at least 1")
+    if n_edges is not None and n_edges < 0:
+        raise InputError(f"edge count must be nonnegative, got {n_edges}")
     names = [f"v{i:02d}" for i in range(n)]
     pool = [edge_key(a, b) for a, b in combinations(names, 2)]
     want = min(len(pool), int(target * n)) if n_edges is None else min(n_edges, len(pool))

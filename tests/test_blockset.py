@@ -179,7 +179,10 @@ def test_bad_leaf_round_removal_count():
         ("x0",), tuple(f"y{i}" for i in range(1, 7)), tuple(f"o{i}" for i in range(1, 7)),
         Fraction(3, 4),
     )
-    x, blocked = blockset.bad_leaf_round(inst, bad)
+    x, blocked = blockset.bad_leaf_round(
+        inst, bad, omega=compute_sparsity(inst.graph).omega,
+        lp_value=blockset.relaxation_value(inst),
+    )
     removed = {v for v in bad.y_side if x[v] == 0}
     assert removed == {"y1", "y2"}
     assert len(blocked) == 4

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netbargain import cli
 
@@ -153,6 +156,59 @@ def test_gen_sparse_deterministic_files(capsys, tmp_path):
     assert cli.main(["gen", "sparse", "--n", "6", "--omega", "1", "--seed", "7", "--out", a]) == 0
     assert cli.main(["gen", "sparse", "--n", "6", "--omega", "1", "--seed", "7", "--out", b]) == 0
     assert open(a).read() == open(b).read()
+
+
+def test_gen_sparse_negative_edges_exit_1(capsys):
+    code, _, err = run(capsys, "gen", "sparse", "--n", "4", "--seed", "1", "--edges", "-1")
+    assert code == 1
+    assert "edge count" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--max-size"])
+def test_oracle_min_blockset_negative_flag_exit_1(capsys, k3_file, flag):
+    code, out, err = run(capsys, "oracle", "min-blockset", k3_file, flag, "-1")
+    assert code == 1
+    assert out == "" and flag in err
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+small_ints = st.integers(-3, 8)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=small_ints, seed=small_ints, edges=st.none() | small_ints)
+def test_gen_sparse_integer_flags_fuzz(n, seed, edges):
+    argv = ["gen", "sparse", "--n", str(n), "--seed", str(seed)]
+    if edges is not None:
+        argv += ["--edges", str(edges)]
+    code, err = _quiet_main(argv)
+    assert code == (1 if n < 1 or (edges or 0) < 0 else 0), err
+    assert "internal" not in err
+
+
+@pytest.fixture(scope="module")
+def k3_module_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "k3.txt"
+    path.write_text("a b\nb c\na c\n")
+    return str(path)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(nu=st.none() | small_ints, max_size=st.none() | small_ints)
+def test_oracle_min_blockset_integer_flags_fuzz(k3_module_file, nu, max_size):
+    argv = ["oracle", "min-blockset", k3_module_file]
+    for flag, value in (("--nu", nu), ("--max-size", max_size)):
+        if value is not None:
+            argv += [flag, str(value)]
+    code, err = _quiet_main(argv)
+    assert code == (1 if min(nu or 0, max_size or 0) < 0 else 0), err
+    assert "internal" not in err
 
 
 def test_dot_export(capsys, k3_file, tmp_path):

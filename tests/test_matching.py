@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netbargain import matching, oracle
 from netbargain.errors import PreconditionError
 from netbargain.graphcore import Graph
 
 import corpus
+import matchbrute
 
 
 def test_max_matching_small_cases():
@@ -45,6 +48,43 @@ def test_inessential_k3_all():
 
 def test_inessential_single_edge_none():
     assert matching.inessential_vertices(corpus.single_edge()) == ()
+
+
+def _assert_diagnosis_matches_oracles(g):
+    assert matching.inessential_vertices(g) == matchbrute.inessential_by_deletion(g)
+    frac = matching.fractional_matching_value(g)
+    assert frac == matchbrute.fractional_matching_lp(g)
+    assert frac == oracle.fractional_cover_value(g.vertices, g.edges)  # LP duality
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 10))
+    names = [f"v{i}" for i in range(n)]
+    density = draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+    pairs = list(combinations(names, 2))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.build([e for e, r in zip(pairs, keep) if r < density], names)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_diagnosis_matches_oracles_on_small_graphs(g):
+    _assert_diagnosis_matches_oracles(g)
+
+
+@pytest.mark.parametrize(
+    "build, inessential, frac",
+    [
+        (corpus.petersen, (), Fraction(5)),  # a perfect matching exists
+        (corpus.c5, ("a", "b", "c", "d", "e"), Fraction(5, 2)),  # factor-critical
+    ],
+)
+def test_diagnosis_matches_oracles_on_fixed_graphs(build, inessential, frac):
+    g = build()
+    _assert_diagnosis_matches_oracles(g)
+    assert matching.inessential_vertices(g) == inessential
+    assert matching.fractional_matching_value(g) == frac
 
 
 def test_core_k3_empty():
@@ -115,6 +155,7 @@ def test_core_criteria_agree_across_random_graphs():
     nonempty = empty = 0
     for seed in range(60):
         g = corpus.corpus_graph(seed)
+        _assert_diagnosis_matches_oracles(g)
         report = matching.core_status(g)
         if report.status == "nonempty":
             nonempty += 1
