@@ -126,7 +126,7 @@ def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     )
 
 
-def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> dict[str, Fraction]:
+def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> SurplusState:
     """Transfer half the surplus difference along the worst unbalanced pair.
 
     The recipient is the pair (i, j) with the largest surplus, smallest
@@ -135,6 +135,7 @@ def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> di
     never rises and the set at the old level shrinks when it stays; all
     pairs frozen above keep their surpluses and defining-option values;
     the allocation total and the unit cover of every edge survive.
+    Returns the surplus state of the new allocation.
     """
     if not st.violated:
         raise PreconditionError("no unbalanced pair to shift")
@@ -167,7 +168,7 @@ def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> di
     bare = uncovered_edge(st.graph.edges, x2)
     if bare is not None:
         raise InternalInvariantError(f"transfer uncovered edge {bare[0]}-{bare[1]}")
-    return x2
+    return after
 
 
 def _var(v: str) -> str:
@@ -255,10 +256,9 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
 
 @dataclass
 class PrekernelRun:
-    allocation: dict[str, Fraction] = field(default_factory=dict)
+    final: SurplusState | None = None
     lp_solves: int = 0
     shifts: int = 0
-    rounds: int = 0
     trace: list[str] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -272,7 +272,6 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
 
     st = surpluses(g, x)
     while st.violated:
-        run.rounds += 1
         run.lp_solves += 1
         if run.lp_solves > m:
             raise InternalInvariantError("LP-solve cap |E'| exceeded")
@@ -296,14 +295,13 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
             cur = st_y
             feasible_push = st_y.delta_cap - st_y.s_max
             while cur.violated and cur.s_max == target:
-                x2 = maschler_shift(cur, run.diagnostics)
+                cur = maschler_shift(cur, run.diagnostics)
                 run.shifts += 1
                 round_shifts += 1
                 if round_shifts > m:
                     raise InternalInvariantError("per-round transfer cap |E'| exceeded")
                 if run.shifts > m * m:
                     raise InternalInvariantError("total transfer cap |E'|^2 exceeded")
-                cur = surpluses(g, x2)
                 if cur.violated and cur.upper_pairs == st_y.upper_pairs:
                     # with the frozen group unchanged, the feasible push never shrinks
                     push = cur.delta_cap - cur.s_max
@@ -317,7 +315,7 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
             st = st_y
 
         run.trace.append(
-            f"round={run.rounds} s={s_str} |S|={len(st.upper_pairs)} "
+            f"round={run.lp_solves} s={s_str} |S|={len(st.upper_pairs)} "
             f"|I|={len(st.level_pairs)} shifts={round_shifts}"
         )
 
@@ -333,7 +331,7 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
     negative = [v for v in g.vertices if x[v] < 0]
     if negative:
         raise InternalInvariantError(f"final allocation negative at {negative}")
-    run.allocation = x
+    run.final = st
     return run
 
 
@@ -351,7 +349,7 @@ def prekernel(g: Graph, x0: Mapping[str, Fraction]) -> dict[str, Fraction]:
     The start must cover every edge.  The returned allocation preserves
     the start's total and satisfies s_ij = s_ji on every edge.
     """
-    return _prekernel_run(g, x0).allocation
+    return _prekernel_run(g, x0).final.x
 
 
 @dataclass(frozen=True)
@@ -390,7 +388,8 @@ def balanced_outcome(g: Graph, result: BlockingSetResult) -> BalancedOutcome:
 
     mprime = max_matching(gprime)
     run = _prekernel_run(gprime, x0)
-    x = run.allocation
+    final = run.final
+    x = final.x
 
     matched_with = {}
     for u, v in mprime.edges:
@@ -407,7 +406,6 @@ def balanced_outcome(g: Graph, result: BlockingSetResult) -> BalancedOutcome:
 
     cover_ok = {e: x[e[0]] + x[e[1]] >= 1 for e in gprime.edges}
     residual: dict[Edge, Fraction] = {}
-    final = surpluses(gprime, x)
     for u, v in mprime.edges:
         lhs = x[u] - alternatives[u]
         rhs = x[v] - alternatives[v]

@@ -7,7 +7,7 @@ designated edge class is droppable, the budget is a parameter), peels
 off certified structure from an optimal basic solution of the exact
 relaxation, and falls back to a direct rounding step when the extreme
 point is uniformly fractional.  Three invariants are asserted at every
-return:
+node:
 
   I1  the allocation covers every non-blocked edge,
   I2  the allocation total stays within the budget,
@@ -20,6 +20,7 @@ cost in the certified approximation ratio.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
@@ -319,30 +320,21 @@ def _check_spanning_tree(edges: frozenset[Edge], vertices: set[str]) -> None:
 # rounding recursion
 
 
-class _Recorder:
-    __slots__ = ("trace", "stats", "step", "root_lp_value")
+@dataclass(frozen=True)
+class _Node:
+    """One rounding step: its instance without isolated vertices, its LP
+    value (0 for an edgeless leaf, which solves no LP), whether the
+    two-level check ran, its case, and what it adds to its child's
+    answer: `unit_vertex` set to 1 or `blocked_edge`.
+    """
 
-    def __init__(self) -> None:
-        self.trace: list[str] = []
-        self.stats = {
-            "lp_solves": 0,
-            "ir_returns": 0,
-            "lemma_two_checks": 0,
-            "bad_leaves": 0,
-            "case1": 0,
-            "case2": 0,
-            "case3": 0,
-            "leaf": 0,
-        }
-        self.step = 0
-        self.root_lp_value: Fraction | None = None
-
-    def line(self, case: str, inst: GbsInstance) -> None:
-        self.step += 1
-        self.trace.append(
-            f"step={self.step} case={case} |V|={inst.graph.n} "
-            f"|E1|={len(inst.e1)} |E2|={len(inst.e2)} nu={inst.nu}"
-        )
+    inst: GbsInstance
+    isolated: tuple[str, ...]
+    lp_value: Fraction
+    two_level: bool
+    case: str
+    unit_vertex: str | None = None
+    blocked_edge: Edge | None = None
 
 
 def _drop_isolated(inst: GbsInstance) -> tuple[GbsInstance, tuple[str, ...]]:
@@ -373,85 +365,83 @@ def _assert_node_invariants(
 
 
 def _ir(
-    inst: GbsInstance, omega: Fraction, rec: _Recorder, depth: int, limit: int | None = None
-) -> tuple[dict[str, Fraction], frozenset[Edge]]:
-    if limit is None:
-        # every recursive step strictly decreases |V| + |E1|
-        limit = inst.graph.n + len(inst.e1) + 1
-    if depth > limit:
-        raise InternalInvariantError("recursion failed to make progress")
-    inst0 = inst
-    inst, isolated = _drop_isolated(inst)
-
-    if inst.graph.m == 0:
-        rec.line("leaf", inst)
-        rec.stats["leaf"] += 1
-        lp_value = _Z
-        x: dict[str, Fraction] = {v: _Z for v in inst.graph.vertices}
-        blocked: frozenset[Edge] = frozenset()
-    else:
+    inst: GbsInstance, omega: Fraction
+) -> tuple[dict[str, Fraction], frozenset[Edge], list[_Node]]:
+    """The rounding recursion: every node has at most one child, so descend
+    to a leaf, then unwind the nodes, asserting I1-I3 at each one.
+    """
+    # every step strictly decreases |V| + |E1|
+    limit = inst.graph.n + len(inst.e1) + 1
+    nodes: list[_Node] = []
+    while True:
+        if len(nodes) > limit:
+            raise InternalInvariantError("recursion failed to make progress")
+        inst, isolated = _drop_isolated(inst)
+        if inst.graph.m == 0:
+            nodes.append(_Node(inst, isolated, _Z, False, "leaf"))
+            x, blocked = {v: _Z for v in inst.graph.vertices}, frozenset()
+            break
         ep = solve_gbs_lp(inst)
-        rec.stats["lp_solves"] += 1
-        if ep.alpha is not None:
-            rec.stats["lemma_two_checks"] += 1
-        if depth == 0 and rec.root_lp_value is None:
-            rec.root_lp_value = ep.objective
-        lp_value = ep.objective
+        cert = ep.classification
+        solved = (inst, isolated, ep.objective, ep.alpha is not None)
         if ep.objective == 0:
             # every droppable edge already at zero: the point itself settles the node
-            rec.line("leaf", inst)
-            rec.stats["leaf"] += 1
+            nodes.append(_Node(*solved, "leaf"))
             x, blocked = dict(ep.x), frozenset()
-        else:
-            cert = ep.classification
-            if isinstance(cert, GoodCertificate):
-                if cert.kind == "unit_vertex":
-                    rec.line("1", inst)
-                    rec.stats["case1"] += 1
-                    u = cert.vertex
-                    sub = GbsInstance(
-                        inst.graph.without_vertex(u),
-                        tuple(e for e in inst.e1 if u not in e),
-                        tuple(e for e in inst.e2 if u not in e),
-                        inst.nu - 1,
-                    )
-                    x, blocked = _ir(sub, omega, rec, depth + 1, limit)
-                    x = dict(x)
-                    x[u] = _ONE
-                elif cert.kind == "zero_edge":
-                    rec.line("2", inst)
-                    rec.stats["case2"] += 1
-                    e = cert.edge
-                    sub = GbsInstance(
-                        inst.graph,
-                        tuple(d for d in inst.e1 if d != e),
-                        inst.e2 + (e,),
-                        inst.nu,
-                    )
-                    x, blocked = _ir(sub, omega, rec, depth + 1, limit)
-                else:  # heavy_edge
-                    rec.line("3", inst)
-                    rec.stats["case3"] += 1
-                    e = cert.edge
-                    sub = GbsInstance(
-                        inst.graph.without_edges([e]),
-                        tuple(d for d in inst.e1 if d != e),
-                        inst.e2,
-                        inst.nu,
-                    )
-                    x, blocked = _ir(sub, omega, rec, depth + 1, limit)
-                    blocked = blocked | {e}
-            else:
-                rec.line("bad", inst)
-                rec.stats["bad_leaves"] += 1
-                x, blocked = bad_leaf_round(inst, cert, omega=omega, lp_value=ep.objective)
+            break
+        if not isinstance(cert, GoodCertificate):
+            nodes.append(_Node(*solved, "bad"))
+            x, blocked = bad_leaf_round(inst, cert, omega=omega, lp_value=ep.objective)
+            break
+        if cert.kind == "unit_vertex":
+            u = cert.vertex
+            nodes.append(_Node(*solved, "1", unit_vertex=u))
+            inst = GbsInstance(
+                inst.graph.without_vertex(u),
+                tuple(e for e in inst.e1 if u not in e),
+                tuple(e for e in inst.e2 if u not in e),
+                inst.nu - 1,
+            )
+        elif cert.kind == "zero_edge":
+            e = cert.edge
+            nodes.append(_Node(*solved, "2"))
+            inst = replace(inst, e1=tuple(d for d in inst.e1 if d != e), e2=inst.e2 + (e,))
+        else:  # heavy_edge
+            e = cert.edge
+            nodes.append(_Node(*solved, "3", blocked_edge=e))
+            inst = replace(
+                inst, graph=inst.graph.without_edges([e]), e1=tuple(d for d in inst.e1 if d != e)
+            )
 
-    x = dict(x)
-    for v in isolated:
-        x[v] = _Z
-    _assert_node_invariants(inst0, x, blocked, omega, lp_value)
-    rec.stats["ir_returns"] += 1
-    return x, blocked
+    for node in reversed(nodes):
+        if node.unit_vertex is not None:
+            x[node.unit_vertex] = _ONE
+        if node.blocked_edge is not None:
+            blocked |= {node.blocked_edge}
+        for v in node.isolated:
+            x[v] = _Z
+        _assert_node_invariants(node.inst, x, blocked, omega, node.lp_value)
+    return x, blocked, nodes
+
+
+def _trace(nodes: list[_Node]) -> tuple[str, ...]:
+    return tuple(
+        f"step={step} case={n.case} |V|={n.inst.graph.n} "
+        f"|E1|={len(n.inst.e1)} |E2|={len(n.inst.e2)} nu={n.inst.nu}"
+        for step, n in enumerate(nodes, 1)
+    )
+
+
+def _stats(nodes: list[_Node]) -> dict[str, int]:
+    cases = Counter(n.case for n in nodes)
+    return {
+        "lp_solves": sum(1 for n in nodes if n.inst.graph.m),  # only edgeless leaves skip the LP
+        "ir_returns": len(nodes),
+        "lemma_two_checks": sum(n.two_level for n in nodes),
+        "bad_leaves": cases["bad"],
+        **{f"case{c}": cases[c] for c in "123"},
+        "leaf": cases["leaf"],
+    }
 
 
 def ir_solve(
@@ -459,14 +449,14 @@ def ir_solve(
 ) -> tuple[dict[str, Fraction], frozenset[Edge]]:
     """Run the rounding recursion on a bipartite instance.
 
-    Returns the allocation and blocking set; every internal return has
+    Returns the allocation and blocking set; the answer at every node has
     passed the I1-I3 assertions against the node's own relaxation value.
     """
     if is_bipartite(inst.graph) is None:
         raise PreconditionError("rounding runs on bipartite instances; see stabilize()")
     om = Fraction(omega) if omega is not None else compute_sparsity(inst.graph).omega
-    rec = _Recorder()
-    return _ir(inst, om, rec, 0)
+    x, blocked, _ = _ir(inst, om)
+    return x, blocked
 
 
 def pick_min_degree_removals(
@@ -553,19 +543,17 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
     om = Fraction(omega) if omega is not None else compute_sparsity(g).omega
     if om < 1:
         raise PreconditionError("sparsity parameter must be at least 1")
-    rec = _Recorder()
 
     if is_bipartite(g) is not None:
-        x, blocked = _ir(inst, om, rec, 0)
-        root_value = rec.root_lp_value if rec.root_lp_value is not None else _Z
+        x, blocked, nodes = _ir(inst, om)
+        root_value = nodes[0].lp_value
         factor = 2 * om + 1
     else:
         root_value = relaxation_value(inst)
         d = bipartite_double(g)
         host_inst = _double_instance(inst, d)
-        xh, bh = _ir(host_inst, 2 * om, rec, 0)
-        host_root = rec.root_lp_value if rec.root_lp_value is not None else _Z
-        if host_root > 2 * root_value:
+        xh, bh, nodes = _ir(host_inst, 2 * om)
+        if nodes[0].lp_value > 2 * root_value:
             raise InternalInvariantError("host relaxation exceeded twice the original value")
         x, blocked = pull_back(d, xh, bh)
         factor = 8 * om + 2
@@ -585,8 +573,8 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
         root_lp_value=root_value,
         guarantee_factor=factor,
         bound_holds=bound_holds,
-        trace=tuple(rec.trace),
-        stats=dict(rec.stats),
+        trace=_trace(nodes),
+        stats=_stats(nodes),
     )
 
 

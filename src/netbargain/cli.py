@@ -145,6 +145,9 @@ def _stabilize_sections(g, inst, raw, args) -> tuple[dict, blockset.BlockingSetR
     omega = _resolve_omega(g, args.omega)
     if inst is None:
         inst = blockset.root_instance(g)
+    elif (need := matching.fractional_matching_value(Graph(g.vertices, inst.e2))) > inst.nu:
+        # by LP duality the relaxation is feasible iff this fractional matching fits the budget
+        raise InputError(f"budget {inst.nu} cannot cover e2, whose fractional matching is {need}")
     result = blockset.stabilize_instance(inst, omega=omega)
     report = _base_report(raw)
     core, graph_nu = _core_section(g)
@@ -176,6 +179,8 @@ def cmd_stabilize(args) -> int:
 def cmd_balance(args) -> int:
     g, inst, raw = _load_input(args.file)
     report, result = _stabilize_sections(g, inst, raw, args)
+    if sum(result.x_hat.values(), Fraction(0)) > report["graph_nu"]:
+        raise InputError(f"balance: allocation exceeds the matching number {report['graph_nu']}")
     outcome = bargain.balanced_outcome(g, result)
     report["matching"] = [list(e) for e in outcome.matching]
     report["balanced_allocation"] = _alloc_json(outcome.allocation)

@@ -65,8 +65,9 @@ def test_surpluses_requires_full_allocation():
 def test_shift_single_edge():
     g = corpus.single_edge()
     st = bargain.surpluses(g, alloc(g, u=1))
-    x2 = bargain.maschler_shift(st)
-    assert x2 == {"u": F(1, 2), "v": F(1, 2)}
+    after = bargain.maschler_shift(st)
+    assert after.x == {"u": F(1, 2), "v": F(1, 2)}
+    assert after == bargain.surpluses(g, after.x)
 
 
 def test_shift_p4_picks_smallest_top_pair():
@@ -74,8 +75,9 @@ def test_shift_p4_picks_smallest_top_pair():
     st = bargain.surpluses(g, alloc(g, b=1, c=1))
     # (a, b) and (d, c) tie at surplus 0; lexicographic order selects (a, b)
     assert st.violated[0] == ("a", "b")
-    x2 = bargain.maschler_shift(st)
-    assert x2 == {"a": F(1, 2), "b": F(1, 2), "c": F(1), "d": F(0)}
+    after = bargain.maschler_shift(st)
+    assert after.x == {"a": F(1, 2), "b": F(1, 2), "c": F(1), "d": F(0)}
+    assert after == bargain.surpluses(g, after.x)
 
 
 def test_shift_requires_unbalanced_pair():
@@ -160,7 +162,8 @@ def test_prekernel_caps_and_balance_on_randoms():
         run = bargain._prekernel_run(gprime, x0)
         assert run.lp_solves <= gprime.m
         assert run.shifts <= gprime.m**2
-        st = bargain.surpluses(gprime, run.allocation)
+        st = bargain.surpluses(gprime, run.final.x)
+        assert st == run.final
         assert st.violated == ()
         ran += 1
     assert ran == 24

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,25 @@ def test_ir_gap1_blocks_all_droppable_edges():
     assert blocked == frozenset(gap.e1)
     assert len(blocked) == 8
     assert x["x1"] == 1
+
+
+def test_ir_runs_in_constant_stack_depth(monkeypatch):
+    # every step of the rounding recursion solves one LP from the same frame depth
+    depths = []
+    solve = blockset.solve_gbs_lp
+
+    def recording(inst):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return solve(inst)
+
+    monkeypatch.setattr(blockset, "solve_gbs_lp", recording)
+    gap, inst = gap_instance(2)
+    blockset.ir_solve(inst)
+    assert len(depths) == 15
+    assert len(set(depths)) == 1
 
 
 def test_ir_requires_bipartite():

@@ -296,6 +296,37 @@ def test_instance_json_bad_field_exit_1(capsys, tmp_path, field, value):
     assert field in err and "internal" not in err
 
 
+def _protected_file(tmp_path, edges, nu):
+    obj = {"vertices": sorted({v for e in edges for v in e}), "edges": edges,
+           "e1": [], "e2": edges, "nu": nu}
+    return write(tmp_path, "protected.json", json.dumps(obj))
+
+
+@pytest.mark.parametrize("command", ["stabilize", "balance"])
+@pytest.mark.parametrize(
+    "edges, nu",
+    [([["a", "b"]], 0),
+     # the triangle has matching number 1 but fractional matching number 3/2
+     ([["a", "b"], ["a", "c"], ["b", "c"]], 1)],
+)
+def test_protected_edges_beyond_budget_exit_1(capsys, tmp_path, command, edges, nu):
+    path = _protected_file(tmp_path, edges, nu)
+    code, _, err = run(capsys, command, path)
+    assert code == 1
+    assert "e2" in err and "internal" not in err
+    code, out, _ = run(capsys, "oracle", "min-blockset", path)
+    assert code == 0 and json.loads(out)["found"] is False
+    assert run(capsys, "stabilize", _protected_file(tmp_path, edges, nu + 1))[0] == 0
+
+
+def test_balance_budget_above_matching_number_exit_1(capsys, tmp_path):
+    path = _protected_file(tmp_path, [["a", "b"], ["a", "c"], ["b", "c"]], 2)
+    assert run(capsys, "stabilize", path)[0] == 0
+    code, _, err = run(capsys, "balance", path)
+    assert code == 1
+    assert "matching number" in err and "internal" not in err
+
+
 def test_unknown_command_exit_1(capsys):
     assert cli.main(["frobnicate"]) == 1
 

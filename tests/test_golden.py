@@ -3,15 +3,18 @@
 Each report's stdout is hashed and compared with a digest recorded from
 an earlier release of the solver.  A refactor that claims byte-identical
 output must leave every digest in place; a change that moves one on
-purpose updates it here and says why in CHANGES.md.
+purpose updates it here and says why in CHANGES.md.  The traced reports
+pin the rounding recursion's per-step trace lines, and the stats pin
+its counters: together they cover every IR case, a leaf and a bad leaf.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
-from netbargain import cli
+from netbargain import blockset, cli, oracle
 from netbargain.graphcore import Graph, edge_list_text
 
 import corpus
@@ -36,12 +39,56 @@ GOLDEN = {
     "gap1": "2ba4555b03b11627fb3f585b023bdc98e54f0f3bf882636f2c32bab8b59cd8bc",
 }
 
+# `balance --trace` stdout: corpus3 runs 9 case-2 steps on its doubled
+# host, gap2 runs cases 1 and 3, star5 ends in a bad leaf at its root.
+TRACED = {
+    "corpus3": "fec5c4f99c899952d01ad6049cc4c8a94153b0bcfbdaef84bdca5c7630beab87",
+    "gap2": "6d22f1408fde73b7dbaa10b058bc91b67d70be361c0179fcf7aceb247cfa7e53",
+    "star5": "54d6ae9918133a7daeba7621b6b05df8b6a640ed7b7583b11d317767ad5eb68f",
+}
+
+STATS = {
+    "corpus3": {"lp_solves": 17, "ir_returns": 18, "lemma_two_checks": 11, "bad_leaves": 0,
+                "case1": 6, "case2": 9, "case3": 2, "leaf": 1},
+    "gap2": {"lp_solves": 15, "ir_returns": 16, "lemma_two_checks": 9, "bad_leaves": 0,
+             "case1": 3, "case2": 0, "case3": 12, "leaf": 1},
+    "star5": {"lp_solves": 1, "ir_returns": 1, "lemma_two_checks": 1, "bad_leaves": 1,
+              "case1": 0, "case2": 0, "case3": 0, "leaf": 0},
+}
+
+
+def star_instance(mids: int) -> blockset.GbsInstance:
+    """A hub on `mids` protected edges, each mid on one droppable edge."""
+    e2 = [("x0", f"y{i}") for i in range(1, mids + 1)]
+    e1 = [(f"y{i}", f"o{i}") for i in range(1, mids + 1)]
+    return blockset.GbsInstance(Graph.build(e1 + e2), tuple(e1), tuple(e2), mids - 1)
+
+
+def _instance(name: str) -> blockset.GbsInstance:
+    if name.startswith("gap"):
+        gap = oracle.gen_gap(int(name[len("gap"):]))
+        return blockset.GbsInstance(gap.graph, gap.e1, gap.e2, gap.nu)
+    if name.startswith("star"):
+        return star_instance(int(name[len("star"):]))
+    return blockset.root_instance(corpus.corpus_graph(int(name[len("corpus"):])))
+
 
 def _input_file(name: str, tmp_path, capsys) -> str:
     path = tmp_path / (name + ".in")
-    if name == "gap1":
-        assert cli.main(["gen", "gap", "--n", "1", "--out", str(path)]) == 0
+    if name.startswith("gap"):
+        assert cli.main(["gen", "gap", "--n", name[len("gap"):], "--out", str(path)]) == 0
         capsys.readouterr()
+        return str(path)
+    if name.startswith("star"):
+        inst = _instance(name)
+        obj = {
+            "vertices": list(inst.graph.vertices),
+            "edges": [list(e) for e in inst.graph.edges],
+            "e1": [list(e) for e in inst.e1],
+            "e2": [list(e) for e in inst.e2],
+            "nu": inst.nu,
+        }
+        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         return str(path)
     if name.startswith("corpus"):
         g = corpus.corpus_graph(int(name[len("corpus"):]))
@@ -59,3 +106,16 @@ def test_balance_report_digest(name, tmp_path, capsys):
     assert cli.main(["balance", path]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_traced_balance_report_digest(name, tmp_path, capsys):
+    path = _input_file(name, tmp_path, capsys)
+    assert cli.main(["balance", "--trace", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACED[name]
+
+
+@pytest.mark.parametrize("name", sorted(STATS))
+def test_stabilize_stats(name):
+    assert blockset.stabilize_instance(_instance(name)).stats == STATS[name]
