@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from . import exactlp
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError
 from .graphcore import (
     DoubledGraph,
     Edge,
@@ -39,7 +39,7 @@ from .graphcore import (
     pull_back,
     uncovered_edge,
 )
-from .matching import matching_number
+from .matching import fractional_matching_value, matching_number
 
 _Z = Fraction(0)
 _ONE = Fraction(1)
@@ -338,10 +338,10 @@ class _Node:
 
 
 def _drop_isolated(inst: GbsInstance) -> tuple[GbsInstance, tuple[str, ...]]:
-    isolated = tuple(v for v in inst.graph.vertices if inst.graph.degree(v) == 0)
+    isolated = tuple([v for v in inst.graph.vertices if inst.graph.degree(v) == 0])
     if not isolated:
         return inst, ()
-    kept = tuple(v for v in inst.graph.vertices if inst.graph.degree(v) > 0)
+    kept = tuple([v for v in inst.graph.vertices if inst.graph.degree(v) > 0])
     g = Graph(kept, inst.graph.edges)
     return GbsInstance(g, inst.e1, inst.e2, inst.nu), isolated
 
@@ -398,19 +398,19 @@ def _ir(
             nodes.append(_Node(*solved, "1", unit_vertex=u))
             inst = GbsInstance(
                 inst.graph.without_vertex(u),
-                tuple(e for e in inst.e1 if u not in e),
-                tuple(e for e in inst.e2 if u not in e),
+                tuple([e for e in inst.e1 if u not in e]),
+                tuple([e for e in inst.e2 if u not in e]),
                 inst.nu - 1,
             )
         elif cert.kind == "zero_edge":
             e = cert.edge
             nodes.append(_Node(*solved, "2"))
-            inst = replace(inst, e1=tuple(d for d in inst.e1 if d != e), e2=inst.e2 + (e,))
+            inst = replace(inst, e1=tuple([d for d in inst.e1 if d != e]), e2=inst.e2 + (e,))
         else:  # heavy_edge
             e = cert.edge
             nodes.append(_Node(*solved, "3", blocked_edge=e))
             inst = replace(
-                inst, graph=inst.graph.without_edges([e]), e1=tuple(d for d in inst.e1 if d != e)
+                inst, graph=inst.graph.without_edges([e]), e1=tuple([d for d in inst.e1 if d != e])
             )
 
     for node in reversed(nodes):
@@ -425,11 +425,11 @@ def _ir(
 
 
 def _trace(nodes: list[_Node]) -> tuple[str, ...]:
-    return tuple(
+    return tuple([
         f"step={step} case={n.case} |V|={n.inst.graph.n} "
         f"|E1|={len(n.inst.e1)} |E2|={len(n.inst.e2)} nu={n.inst.nu}"
         for step, n in enumerate(nodes, 1)
-    )
+    ])
 
 
 def _stats(nodes: list[_Node]) -> dict[str, int]:
@@ -537,12 +537,16 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
     through the two-copy reduction (factor 8*omega + 2).  The reported
     relaxation value of the root instance is a lower bound on the optimum
     blocking set size, so bound_holds certifies the factor without
-    knowing the optimum.
+    knowing the optimum.  Raises InputError when the budget cannot cover
+    the protected edges, where the relaxation has no solution.
     """
     g = inst.graph
     om = Fraction(omega) if omega is not None else compute_sparsity(g).omega
     if om < 1:
         raise PreconditionError("sparsity parameter must be at least 1")
+    if inst.e2 and (need := fractional_matching_value(Graph(g.vertices, inst.e2))) > inst.nu:
+        # by LP duality the relaxation is feasible iff this fractional matching fits the budget
+        raise InputError(f"budget {inst.nu} cannot cover e2, whose fractional matching is {need}")
 
     if is_bipartite(g) is not None:
         x, blocked, nodes = _ir(inst, om)

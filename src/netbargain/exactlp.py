@@ -31,6 +31,9 @@ _RELS = (LE, EQ, GE)
 _Z = Fraction(0)
 _ONE = Fraction(1)
 
+#: (row, cost) of each basic variable with a nonzero cost, for pricing
+_Priced = list[tuple[list[Fraction], Fraction]]
+
 
 @dataclass
 class Constraint:
@@ -98,7 +101,11 @@ class LpSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting."""
+    """Dense simplex tableau over Fractions with Bland pivoting.
+
+    The arithmetic skips zero entries: a pivot touches only the columns
+    where the pivot row is nonzero, and pricing only nonzero entries.
+    """
 
     def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
         self.rows = rows          # each row: ncols coefficients + rhs
@@ -106,46 +113,44 @@ class _Tableau:
         self.ncols = ncols
 
     def pivot(self, r: int, c: int) -> None:
-        row = self.rows[r]
-        inv = _ONE / row[c]
-        prow = [a * inv for a in row]
-        self.rows[r] = prow
-        for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other[c]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(other, prow)]
+        prow = self.rows[r]
+        inv = _ONE / prow[c]
+        cols = [j for j, a in enumerate(prow) if a]
+        for j in cols:
+            prow[j] *= inv
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f and i != r:
+                for j in cols:
+                    row[j] -= f * prow[j]
         self.basis[r] = c
+
+    def priced(self, costs: list[Fraction]) -> _Priced:
+        return [(self.rows[i], costs[b]) for i, b in enumerate(self.basis) if costs[b]]
 
     def run(self, costs: list[Fraction], banned: frozenset[int]) -> str:
         """Minimize `costs`; Bland's rule (lowest eligible index) throughout."""
-        m = len(self.rows)
+        rows, basis = self.rows, self.basis
         while True:
-            nonzero = [(i, costs[b]) for i, b in enumerate(self.basis) if costs[b]]
-            basis_set = set(self.basis)
+            priced = self.priced(costs)
+            basis_set = set(basis)
             enter = -1
             for j in range(self.ncols):
-                if j in banned or j in basis_set:
-                    continue
-                cbar = costs[j]
-                for i, cbi in nonzero:
-                    cbar -= cbi * self.rows[i][j]
-                if cbar < 0:
+                if j not in banned and j not in basis_set and _reduced_cost(costs, priced, j) < 0:
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
             leave = -1
             best_ratio: Fraction | None = None
-            for i in range(m):
-                t = self.rows[i][enter]
+            for i, row in enumerate(rows):
+                t = row[enter]
                 if t > 0:
-                    ratio = self.rows[i][-1] / t
+                    ratio = row[-1] / t
                     if (
                         best_ratio is None
                         or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leave])
+                        or (ratio == best_ratio and basis[i] < basis[leave])
                     ):
                         best_ratio = ratio
                         leave = i
@@ -153,12 +158,15 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
-    def reduced_cost(self, costs: list[Fraction], j: int) -> Fraction:
-        cbar = costs[j]
-        for i, b in enumerate(self.basis):
-            if costs[b]:
-                cbar -= costs[b] * self.rows[i][j]
-        return cbar
+
+def _reduced_cost(costs: list[Fraction], priced: _Priced, j: int) -> Fraction:
+    """Reduced cost of column j; the one pricing routine of phases 1, 2 and the duals."""
+    cbar = costs[j]
+    for row, cb in priced:
+        a = row[j]
+        if a:
+            cbar -= cb * a
+    return cbar
 
 
 @dataclass
@@ -184,17 +192,14 @@ def solve(p: LpProblem) -> LpSolution:
 
     rows: list[_Row] = []
     for con in p.constraints:
-        dense = [_Z] * n
-        for v, c in con.coeffs.items():
-            dense[p._index[v]] = c
-        rows.append(_Row(dense, con.rel, con.rhs))
-
-    for row in rows:
-        if row.rhs < 0:
-            row.coeffs = [-a for a in row.coeffs]
-            row.rhs = -row.rhs
-            row.rel = {LE: GE, GE: LE, EQ: EQ}[row.rel]
+        row = _Row([_Z] * n, con.rel, con.rhs)
+        if con.rhs < 0:
+            row.rhs = -con.rhs
+            row.rel = {LE: GE, GE: LE, EQ: EQ}[con.rel]
             row.flipped = True
+        for v, c in con.coeffs.items():
+            row.coeffs[p._index[v]] = -c if row.flipped else c
+        rows.append(row)
 
     # column layout: structural | slack/surplus | artificial
     ncols = n
@@ -213,7 +218,7 @@ def solve(p: LpProblem) -> LpSolution:
     basis: list[int] = []
     owners: list[_Row] = []
     for row in rows:
-        line = list(row.coeffs) + [_Z] * (ncols - n) + [row.rhs]
+        line = row.coeffs + [_Z] * (ncols - n) + [row.rhs]
         if row.rel == LE:
             line[row.slack_col] = _ONE
             basis.append(row.slack_col)
@@ -237,10 +242,7 @@ def solve(p: LpProblem) -> LpSolution:
         status = tab.run(cost1, frozenset())
         if status != OPTIMAL:
             raise AssertionError("phase 1 cannot be unbounded")
-        phase1_value = sum(
-            (cost1[b] * tab.rows[i][-1] for i, b in enumerate(tab.basis)), _Z
-        )
-        if phase1_value > 0:
+        if sum((cb * row[-1] for row, cb in tab.priced(cost1)), _Z) > 0:
             return LpSolution(status=INFEASIBLE)
         _drive_out_artificials(tab, owners, art_set)
 
@@ -257,7 +259,8 @@ def solve(p: LpProblem) -> LpSolution:
     values = dict(zip(p.variables, point))
     objective = sum((c * x for c, x in zip(cost_user, point)), _Z)
 
-    duals = tuple(_user_dual(tab, cost2, row, p.sense) for row in rows)
+    priced = tab.priced(cost2)
+    duals = tuple([_user_dual(cost2, priced, row, p.sense) for row in rows])
     basis_set = set(tab.basis)
     defining_rows = frozenset(
         i
@@ -292,11 +295,10 @@ def _drive_out_artificials(tab: _Tableau, owners: list[_Row], art_set: frozenset
         del owners[i]
 
 
-def _user_dual(tab: _Tableau, costs: list[Fraction], row: _Row, sense: str) -> Fraction:
-    if row.dead:
-        return _Z
+def _user_dual(costs: list[Fraction], priced: _Priced, row: _Row, sense: str) -> Fraction:
+    # a row dropped after phase 1 keeps its artificial column, so it reads the same way
     col = row.art_col if row.art_col >= 0 else row.slack_col
-    y = -tab.reduced_cost(costs, col)
+    y = -_reduced_cost(costs, priced, col)
     if row.flipped:
         y = -y
     if sense == "max":

@@ -6,7 +6,6 @@ orders are lexicographic, and all numeric quantities are `Fraction`s.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,14 +83,14 @@ class Graph:
     def without_vertex(self, v: str) -> "Graph":
         """Graph with `v` and all incident edges removed."""
         return Graph(
-            tuple(w for w in self.vertices if w != v),
-            tuple(e for e in self.edges if v not in e),
+            tuple([w for w in self.vertices if w != v]),
+            tuple([e for e in self.edges if v not in e]),
         )
 
     def without_edges(self, drop: Iterable[Edge]) -> "Graph":
         """Graph with the given edges removed; the vertex set is kept."""
         gone = {edge_key(*e) for e in drop}
-        return Graph(self.vertices, tuple(e for e in self.edges if e not in gone))
+        return Graph(self.vertices, tuple([e for e in self.edges if e not in gone]))
 
     def induced_edge_count(self, subset: Iterable[str]) -> int:
         s = set(subset)
@@ -138,10 +137,6 @@ def edge_list_text(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
-def graph_to_json_obj(g: Graph) -> dict:
-    return {"vertices": list(g.vertices), "edges": [[u, v] for u, v in g.edges]}
-
-
 def graph_from_json_obj(obj: object) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InputError("graph JSON must be an object with 'vertices' and 'edges'")
@@ -157,18 +152,6 @@ def graph_from_json_obj(obj: object) -> Graph:
             raise InputError(f"bad edge entry {item!r}")
         pairs.append((item[0], item[1]))
     return Graph.build(pairs, vertices)
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_obj(g), sort_keys=True, indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    return graph_from_json_obj(obj)
 
 
 def to_dot(g: Graph, dashed_edges: Iterable[Edge] = (), name: str = "G") -> str:

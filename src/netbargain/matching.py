@@ -129,8 +129,8 @@ def max_matching(g: Graph) -> Matching:
         for i, j in enumerate(mate)
         if j != -1 and i < j
     )
-    exposed = tuple(v for i, v in enumerate(g.vertices) if mate[i] == -1)
-    inessential = tuple(v for i, v in enumerate(g.vertices) if i in even)
+    exposed = tuple([v for i, v in enumerate(g.vertices) if mate[i] == -1])
+    inessential = tuple([v for i, v in enumerate(g.vertices) if i in even])
     return Matching(tuple(edges), exposed, inessential)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from netbargain import blockset, matching, oracle
-from netbargain.errors import InternalInvariantError, PreconditionError
+from netbargain.errors import InputError, InternalInvariantError, PreconditionError
 from netbargain.graphcore import Graph, bipartite_double, compute_sparsity
 
 import corpus
@@ -60,6 +60,18 @@ def test_instance_rejects_bool_budget():
 
 
 # -- relaxation and classification --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "edges, nu",
+    [([("a", "b")], 0), ([("a", "b"), ("a", "c"), ("b", "c")], 1)],
+)
+def test_stabilize_instance_rejects_uncoverable_protected_edges(edges, nu):
+    # the protected edges' fractional matching (1, then 3/2) exceeds the budget
+    g = Graph.build(edges)
+    with pytest.raises(InputError, match="cannot cover e2"):
+        blockset.stabilize_instance(blockset.GbsInstance(g, (), g.edges, nu))
+    assert blockset.stabilize_instance(blockset.GbsInstance(g, (), g.edges, nu + 1)).blocking_set == ()
 
 
 def test_gap1_lp_value_and_unit_vertex():

@@ -112,6 +112,22 @@ def test_redundant_equalities_dropped():
     assert exactlp.check_certificates(lp, s) == []
 
 
+def test_duals_of_a_row_dropped_after_phase_1():
+    # 2*x0 + x1 = 8 follows from x0 = 3 and x1 = 2, so phase 1 drops one of the
+    # three equalities; the dropped row's dual still counts in the dual objective
+    lp = exactlp.LpProblem("dead", "min", ["x0", "x1"])
+    lp.set_objective({"x0": -1})
+    lp.add_constraint({"x0": 1}, exactlp.EQ, 3)
+    lp.add_constraint({"x0": 2, "x1": 1}, exactlp.EQ, 8)
+    lp.add_constraint({"x1": 1}, exactlp.EQ, 2)
+    lp.add_constraint({"x0": 1}, exactlp.LE, 4)
+    lp.add_constraint({"x1": 1}, exactlp.LE, 4)
+    s = exactlp.solve(lp)
+    assert s.objective == -3
+    assert s.duals == (0, Fraction(-1, 2), Fraction(1, 2), 0, 0)
+    assert exactlp.check_certificates(lp, s) == []
+
+
 def test_determinism():
     lp = fractional_matching_lp([("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")], "abcd")
     s1 = exactlp.solve(lp)
@@ -185,3 +201,46 @@ def test_random_lps_match_vertex_enumeration(lp):
         assert s.objective == best
         assert exactlp.check_certificates(lp, s) == []
         assert _tight_system_rank(lp, s) >= len(lp.variables)
+
+
+@st.composite
+def lps_with_a_dependent_row(draw):
+    """A feasible, boxed LP with fractional coefficients, right-hand sides of
+    either sign (negative ones flip their rows), and an equality that combines
+    two others, so phase 1 has a redundant row to drop.  Every row holds at a
+    drawn point `x`, which keeps the LP feasible."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    names = [f"v{i}" for i in range(n)]
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    x = {v: draw(st.fractions(min_value=0, max_value=3, max_denominator=2)) for v in names}
+
+    def at_x(coeffs):
+        return sum((c * x[v] for v, c in coeffs.items()), Fraction(0))
+
+    a1, a2 = ({v: draw(frac) for v in names} for _ in range(2))
+    k1, k2 = draw(frac), draw(frac)
+    combo = {v: k1 * a1[v] + k2 * a2[v] for v in names}
+    rows = [(a, exactlp.EQ, at_x(a)) for a in (a1, a2, combo)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        coeffs = {v: draw(frac) for v in names}
+        slack = draw(st.fractions(min_value=0, max_value=1, max_denominator=2))
+        if draw(st.booleans()):
+            rows.append((coeffs, exactlp.LE, at_x(coeffs) + slack))
+        else:
+            rows.append((coeffs, exactlp.GE, at_x(coeffs) - slack))
+    lp = exactlp.LpProblem("dep", draw(st.sampled_from(["min", "max"])), names)
+    lp.set_objective({v: draw(frac) for v in names})
+    for coeffs, rel, rhs in draw(st.permutations(rows)):
+        lp.add_constraint(coeffs, rel, rhs)
+    for v in names:
+        lp.add_constraint({v: 1}, exactlp.LE, x[v] + draw(st.integers(min_value=0, max_value=2)))
+    return lp
+
+
+@given(lps_with_a_dependent_row())
+@settings(max_examples=200, deadline=None)
+def test_certificates_hold_when_phase_1_drops_a_row(lp):
+    s = exactlp.solve(lp)
+    assert s.status == exactlp.OPTIMAL
+    assert s.objective == lpbrute.best_vertex_value(lp)
+    assert exactlp.check_certificates(lp, s) == []

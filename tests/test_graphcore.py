@@ -69,7 +69,8 @@ def test_parse_serialize_roundtrip(g):
 @given(random_graphs())
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip(g):
-    assert gc.graph_from_json(gc.graph_to_json(g)) == g
+    obj = {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
+    assert gc.graph_from_json_obj(obj) == g
 
 
 def test_dot_export_marks_blocking_dashed():
