@@ -18,7 +18,14 @@ from .blockset import (
 )
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .graphcore import Graph, Sparsity, bipartite_double, compute_sparsity, parse_edge_list
-from .matching import CoreReport, Matching, core_status, max_matching, stable_allocation
+from .matching import (
+    CoreReport,
+    Matching,
+    core_status,
+    matching_number,
+    max_matching,
+    stable_allocation,
+)
 
 __version__ = "0.1.0"
 
@@ -38,6 +45,7 @@ __all__ = [
     "compute_sparsity",
     "core_status",
     "ir_solve",
+    "matching_number",
     "max_matching",
     "parse_edge_list",
     "prekernel",

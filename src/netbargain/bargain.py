@@ -26,9 +26,9 @@ from typing import Mapping
 
 from . import exactlp
 from .blockset import BlockingSetResult
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError
 from .graphcore import Edge, Graph, edge_key, uncovered_edge
-from .matching import matching_number, max_matching
+from .matching import max_matching
 
 _Z = Fraction(0)
 
@@ -367,22 +367,22 @@ class BalancedOutcome:
     diagnostics: tuple[str, ...]
 
 
-def balanced_outcome(g: Graph, result: BlockingSetResult) -> BalancedOutcome:
+def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOutcome:
     """Run the full pipeline tail: residual graph, matching, balancing.
 
-    The stabilization allocation is topped up to the matching number of
-    the original graph (deficit onto the lexicographically smallest
-    vertex, which can only help coverage), then balanced on the residual
-    graph.
+    `nu` is the matching number of g.  The stabilization allocation is
+    topped up to it (deficit onto the lexicographically smallest vertex,
+    which can only help coverage), then balanced on the residual graph.
+    Raises InputError when the allocation already exceeds it, as one
+    from an instance with a larger budget can.
     """
     blocked = set(result.blocking_set)
     gprime = g.without_edges(blocked)
-    nu = matching_number(g)
 
     x0 = {v: Fraction(result.x_hat.get(v, 0)) for v in g.vertices}
     total = sum(x0.values(), _Z)
     if total > nu:
-        raise PreconditionError("stabilized allocation exceeds the matching number")
+        raise InputError(f"balance: allocation exceeds the matching number {nu}")
     if total < nu and g.vertices:
         x0[g.vertices[0]] += nu - total
 

@@ -122,9 +122,9 @@ class BlockingSetResult:
     stats: dict[str, int]
 
 
-def root_instance(g: Graph) -> GbsInstance:
-    """Every edge droppable; budget equals the matching number."""
-    return GbsInstance(g, g.edges, (), matching_number(g))
+def root_instance(g: Graph, nu: int) -> GbsInstance:
+    """Every edge droppable; the budget `nu` is the caller's matching number of g."""
+    return GbsInstance(g, g.edges, (), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -584,4 +584,4 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
 
 def stabilize(g: Graph, omega: Fraction | None = None) -> BlockingSetResult:
     """Stabilize a plain graph: every edge droppable, budget = matching number."""
-    return stabilize_instance(root_instance(g), omega=omega)
+    return stabilize_instance(root_instance(g, matching_number(g)), omega=omega)

@@ -93,12 +93,12 @@ def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
 
 
 def _resolve_omega(g: Graph, flag: str | None) -> Fraction:
+    computed = compute_sparsity(g).omega
     if flag is None:
-        return compute_sparsity(g).omega
+        return computed
     override = parse_rational(flag)
     if override < 1:
         raise InputError("--omega must be at least 1")
-    computed = compute_sparsity(g).omega
     if override < computed:
         raise InputError(f"--omega {override} is below the computed sparsity {computed}")
     return override
@@ -143,11 +143,11 @@ def cmd_analyze(args) -> int:
 
 def _stabilize_sections(g, inst, raw, args) -> tuple[dict, blockset.BlockingSetResult]:
     omega = _resolve_omega(g, args.omega)
+    core, graph_nu = _core_section(g)
     if inst is None:
-        inst = blockset.root_instance(g)
+        inst = blockset.root_instance(g, graph_nu)
     result = blockset.stabilize_instance(inst, omega=omega)
     report = _base_report(raw)
-    core, graph_nu = _core_section(g)
     report["core"] = core
     report["nu"] = inst.nu
     report["graph_nu"] = graph_nu
@@ -176,9 +176,7 @@ def cmd_stabilize(args) -> int:
 def cmd_balance(args) -> int:
     g, inst, raw = _load_input(args.file)
     report, result = _stabilize_sections(g, inst, raw, args)
-    if sum(result.x_hat.values(), Fraction(0)) > report["graph_nu"]:
-        raise InputError(f"balance: allocation exceeds the matching number {report['graph_nu']}")
-    outcome = bargain.balanced_outcome(g, result)
+    outcome = bargain.balanced_outcome(g, result, report["graph_nu"])
     report["matching"] = [list(e) for e in outcome.matching]
     report["balanced_allocation"] = _alloc_json(outcome.allocation)
     report["alternatives"] = _alloc_json(outcome.alternatives)

@@ -1,5 +1,8 @@
 """Undirected graphs with exact sparsity certificates and the two-copy bipartite reduction.
 
+Sparsity (maximum subgraph density) is found at every size by one
+method: iterated improvement with Goldberg's minimum-cut density test.
+
 Everything here is deterministic: vertices are strings, all canonical
 orders are lexicographic, and all numeric quantities are `Fraction`s.
 """
@@ -12,13 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 Edge = tuple[str, str]
-
-#: Largest vertex count for which maximum subgraph density is found by
-#: exhaustive subset enumeration; larger graphs use the max-flow search.
-BRUTE_FORCE_VERTEX_LIMIT = 20
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -186,43 +185,11 @@ class Sparsity:
 
 
 def compute_sparsity(g: Graph) -> Sparsity:
-    """Exact maximum subgraph density.
-
-    Exhaustive subset scan up to BRUTE_FORCE_VERTEX_LIMIT vertices;
-    beyond that, iterated improvement with a max-flow density test.
-    """
+    """Exact maximum subgraph density by iterated improvement with a max-flow density test."""
     if g.m == 0:
         return Sparsity(Fraction(1), Fraction(0), None)
-    if g.n <= BRUTE_FORCE_VERTEX_LIMIT:
-        density, witness = _densest_subset_brute(g)
-    else:
-        density, witness = _densest_subset_flow(g)
+    density, witness = _densest_subset_flow(g)
     return Sparsity(max(Fraction(1), density), density, witness)
-
-
-def _densest_subset_brute(g: Graph) -> tuple[Fraction, tuple[str, ...]]:
-    order = g.vertices
-    n = len(order)
-    index = {v: i for i, v in enumerate(order)}
-    adj_mask = [0] * n
-    for u, v in g.edges:
-        adj_mask[index[u]] |= 1 << index[v]
-        adj_mask[index[v]] |= 1 << index[u]
-
-    edge_count = [0] * (1 << n)
-    best_e, best_k, best_mask = 0, 1, 1  # singleton {order[0]}: density 0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        e = edge_count[rest] + (adj_mask[i] & rest).bit_count()
-        edge_count[mask] = e
-        k = mask.bit_count()
-        # strict improvement keeps the lowest qualifying mask: deterministic
-        if e * best_k > best_e * k:
-            best_e, best_k, best_mask = e, k, mask
-    witness = tuple(order[i] for i in range(n) if best_mask >> i & 1)
-    return Fraction(best_e, best_k), witness
 
 
 class _Dinic:
@@ -232,21 +199,22 @@ class _Dinic:
         self.n = n
         self.graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
+    def add_edge(self, u: int, v: int, cap: int, back_cap: int) -> None:
+        """Arc u->v of capacity `cap` paired with its reverse v->u of capacity `back_cap`."""
         self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
+        self.graph[v].append([u, back_cap, len(self.graph[u]) - 1])
 
     def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
+        self.level = level = [-1] * self.n
+        level[s] = 0
         q = deque([s])
         while q:
             u = q.popleft()
             for e in self.graph[u]:
-                if e[1] > 0 and self.level[e[0]] < 0:
-                    self.level[e[0]] = self.level[u] + 1
+                if e[1] > 0 and level[e[0]] < 0:
+                    level[e[0]] = level[u] + 1
                     q.append(e[0])
-        return self.level[t] >= 0
+        return level[t] >= 0
 
     def _augment(self, s: int, t: int) -> int:
         """Push flow along the first s-t path of the level graph; 0 if none is left.
@@ -255,26 +223,27 @@ class _Dinic:
         leading to a dead end advances its tail's edge pointer; an edge on
         an augmenting path keeps it, as it may carry more flow later.
         """
+        graph, it, level = self.graph, self.it, self.level
         path: list[tuple[int, list[int]]] = []
         u = s
         while u != t:
-            adj = self.graph[u]
-            while self.it[u] < len(adj):
-                e = adj[self.it[u]]
-                if e[1] > 0 and self.level[e[0]] == self.level[u] + 1:
+            adj = graph[u]
+            while it[u] < len(adj):
+                e = adj[it[u]]
+                if e[1] > 0 and level[e[0]] == level[u] + 1:
                     path.append((u, e))
                     u = e[0]
                     break
-                self.it[u] += 1
+                it[u] += 1
             else:
                 if not path:
                     return 0
                 u, _ = path.pop()
-                self.it[u] += 1
+                it[u] += 1
         f = min(e[1] for _, e in path)
         for _, e in path:
             e[1] -= f
-            self.graph[e[0]][e[2]][1] += f
+            graph[e[0]][e[2]][1] += f
         return f
 
     def max_flow(self, s: int, t: int) -> int:
@@ -303,22 +272,30 @@ class _Dinic:
 def _density_improvement(g: Graph, guess: Fraction) -> tuple[str, ...] | None:
     """Vertex set with density strictly above `guess`, or None.
 
-    Min-cut construction: capacities scaled by the guess denominator so
-    the flow network is integral.  A cut below 2*m*q certifies a subset
-    with |E(S)| - guess*|S| > 0.
+    Goldberg's min-cut construction, with capacities scaled by the guess
+    denominator so the flow network is integral: s->i at deg(i)*q, i->t
+    at 2p, and q each way along every edge.  A cut below 2*m*q certifies
+    a subset with |E(S)| - guess*|S| > 0.  The path s->i->t carries
+    min(deg(i)*q, 2p) in every maximum flow, so it is counted up front
+    and only the larger arc's excess enters the network; every cut moves
+    by the same constant, so the minimal minimum cut is unchanged.
     """
     p, q = guess.numerator, guess.denominator
     order = g.vertices
     index = {v: i for i, v in enumerate(order)}
     net = _Dinic(g.n + 2)
     s, t = g.n, g.n + 1
+    flow = 0
     for i, v in enumerate(order):
-        net.add_edge(s, i, g.degree(v) * q)
-        net.add_edge(i, t, 2 * p)
+        source_cap, sink_cap = g.degree(v) * q, 2 * p
+        flow += min(source_cap, sink_cap)
+        if source_cap > sink_cap:
+            net.add_edge(s, i, source_cap - sink_cap, 0)
+        elif sink_cap > source_cap:
+            net.add_edge(i, t, sink_cap - source_cap, 0)
     for u, v in g.edges:
-        net.add_edge(index[u], index[v], q)
-        net.add_edge(index[v], index[u], q)
-    flow = net.max_flow(s, t)
+        net.add_edge(index[u], index[v], q, q)
+    flow += net.max_flow(s, t)
     if flow >= 2 * g.m * q:
         return None
     side = net.reachable_from(s)
@@ -335,7 +312,7 @@ def _densest_subset_flow(g: Graph) -> tuple[Fraction, tuple[str, ...]]:
             return density, witness
         new_density = Fraction(g.induced_edge_count(better), len(better))
         if new_density <= density:  # cannot happen for a correct cut
-            raise AssertionError("density search failed to improve")
+            raise InternalInvariantError("density search failed to improve")
         witness, density = better, new_density
 
 

@@ -56,7 +56,7 @@ def corpus_run():
         opt = oracle.brute_min_blocking_set(g, matching.matching_number(g))
         assert opt.found
         core = matching.core_status(g)
-        outcome = bargain.balanced_outcome(g, result)
+        outcome = bargain.balanced_outcome(g, result, core.nu)
         run.graphs[seed] = g
         run.omegas[seed] = omega
         run.results[seed] = result
@@ -186,10 +186,10 @@ def test_criterion_6_core_dichotomy(corpus_run):
 def test_criterion_7_small_balanced_outcomes():
     t0 = time.monotonic()
     p4 = corpus.p4()
-    out = bargain.balanced_outcome(p4, blockset.stabilize(p4))
+    out = bargain.balanced_outcome(p4, blockset.stabilize(p4), 2)
     assert out.allocation == {"a": F(1, 3), "b": F(2, 3), "c": F(2, 3), "d": F(1, 3)}
     edge = corpus.single_edge()
-    out2 = bargain.balanced_outcome(edge, blockset.stabilize(edge))
+    out2 = bargain.balanced_outcome(edge, blockset.stabilize(edge), 1)
     assert out2.allocation == {"u": F(1, 2), "v": F(1, 2)}
     elapsed = time.monotonic() - t0
     assert elapsed < 1

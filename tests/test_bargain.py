@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from netbargain import bargain, blockset, matching, oracle
-from netbargain.errors import PreconditionError
+from netbargain.errors import InputError, PreconditionError
 from netbargain.graphcore import Graph
 
 import corpus
@@ -184,7 +184,7 @@ def test_balanced_outcome_path_residual():
         trace=(),
         stats={},
     )
-    out = bargain.balanced_outcome(g, seed_result)
+    out = bargain.balanced_outcome(g, seed_result, 1)
     assert out.matching == (("a", "b"),)
     assert out.allocation == {"a": F(0), "b": F(1), "c": F(0)}
     assert out.alternatives == {"a": F(0), "b": F(1), "c": F(0)}
@@ -194,21 +194,21 @@ def test_balanced_outcome_path_residual():
 
 def test_balanced_outcome_p4():
     g = corpus.p4()
-    out = bargain.balanced_outcome(g, blockset.stabilize(g))
+    out = bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
     assert out.matching == (("a", "b"), ("c", "d"))
     assert out.allocation == {"a": F(1, 3), "b": F(2, 3), "c": F(2, 3), "d": F(1, 3)}
 
 
 def test_balanced_outcome_single_edge():
     g = corpus.single_edge()
-    out = bargain.balanced_outcome(g, blockset.stabilize(g))
+    out = bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
     assert out.allocation == {"u": F(1, 2), "v": F(1, 2)}
 
 
 def test_balanced_outcome_k3_passes_independent_verifier():
     g = corpus.k3()
     result = blockset.stabilize(g)
-    out = bargain.balanced_outcome(g, result)
+    out = bargain.balanced_outcome(g, result, matching.matching_number(g))
     gprime = g.without_edges(result.blocking_set)
     assert oracle.verify_outcome(gprime, matching.matching_number(g), out) == []
 
@@ -217,17 +217,27 @@ def test_balanced_outcome_tops_up_to_matching_number():
     gap = oracle.gen_gap(1)
     inst = blockset.GbsInstance(gap.graph, gap.e1, gap.e2, gap.nu)
     result = blockset.stabilize_instance(inst)
-    out = bargain.balanced_outcome(gap.graph, result)
+    out = bargain.balanced_outcome(gap.graph, result, matching.matching_number(gap.graph))
     assert sum(out.allocation.values(), F(0)) == matching.matching_number(gap.graph)
     gprime = gap.graph.without_edges(result.blocking_set)
     assert oracle.verify_outcome(gprime, matching.matching_number(gap.graph), out) == []
+
+
+def test_balanced_outcome_rejects_allocation_above_matching_number():
+    # protected triangle at budget 2: the stabilized allocation totals 3/2,
+    # above the triangle's matching number 1
+    g = corpus.k3()
+    result = blockset.stabilize_instance(blockset.GbsInstance(g, (), g.edges, 2))
+    assert sum(result.x_hat.values(), F(0)) > 1
+    with pytest.raises(InputError, match="exceeds the matching number 1"):
+        bargain.balanced_outcome(g, result, 1)
 
 
 def test_outcomes_verify_on_random_corpus():
     for seed in range(24, 48):
         g = corpus.corpus_graph(seed)
         result = blockset.stabilize(g)
-        out = bargain.balanced_outcome(g, result)
+        out = bargain.balanced_outcome(g, result, matching.matching_number(g))
         gprime = g.without_edges(result.blocking_set)
         assert oracle.verify_outcome(gprime, matching.matching_number(g), out) == [], seed
 

@@ -28,18 +28,20 @@ def bad_star_instance():
 
 
 def test_root_instance_k3():
-    inst = blockset.root_instance(corpus.k3())
+    g = corpus.k3()
+    inst = blockset.root_instance(g, matching.matching_number(g))
     assert len(inst.e1) == 3 and inst.e2 == () and inst.nu == 1
 
 
 def test_root_instance_p3():
-    inst = blockset.root_instance(corpus.p3())
+    g = corpus.p3()
+    inst = blockset.root_instance(g, matching.matching_number(g))
     assert len(inst.e1) == 2 and inst.nu == 1
 
 
 def test_root_instance_gap_all_droppable():
     gap, _ = gap_instance(1)
-    root = blockset.root_instance(gap.graph)
+    root = blockset.root_instance(gap.graph, matching.matching_number(gap.graph))
     assert len(root.e1) == 10 and root.e2 == ()
     assert root.nu == 2  # matching number of the graph, not the generator budget
 
@@ -255,7 +257,7 @@ def test_ir_runs_in_constant_stack_depth(monkeypatch):
 
 def test_ir_requires_bipartite():
     with pytest.raises(PreconditionError):
-        blockset.ir_solve(blockset.root_instance(corpus.k3()))
+        blockset.ir_solve(blockset.root_instance(corpus.k3(), 1))
 
 
 def test_ir_doubled_k3_meets_certified_bound():
@@ -360,7 +362,7 @@ def test_monotone_progress_bounds_recursion():
     for seed in (3, 7, 11):
         g = corpus.corpus_graph(seed)
         r = blockset.stabilize(g)
-        root = blockset.root_instance(g)
+        root = blockset.root_instance(g, matching.matching_number(g))
         assert len(r.trace) <= 2 * (root.graph.n + len(root.e1)) + 2
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netbargain import cli
+from netbargain import cli, matching
 
 import corpus
 
@@ -325,6 +325,23 @@ def test_balance_budget_above_matching_number_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "balance", path)
     assert code == 1
     assert "matching number" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("command, runs", [("analyze", 2), ("stabilize", 2), ("balance", 3)])
+def test_one_blossom_run_on_the_input_graph(capsys, monkeypatch, p4_file, command, runs):
+    # the core diagnosis runs the blossom on G and on its double cover;
+    # balance adds one run on the residual graph G'
+    calls = []
+    blossom = matching._blossom
+
+    def counted(n, adj):
+        calls.append(n)
+        return blossom(n, adj)
+
+    monkeypatch.setattr(matching, "_blossom", counted)
+    assert run(capsys, command, p4_file)[0] == 0
+    assert len(calls) == runs
+    assert calls.count(4) == runs - 1
 
 
 def test_unknown_command_exit_1(capsys):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from netbargain import blockset, cli, oracle
+from netbargain import blockset, cli, matching, oracle
 from netbargain.graphcore import Graph, edge_list_text
 
 import corpus
@@ -70,7 +70,8 @@ def _instance(name: str) -> blockset.GbsInstance:
         return blockset.GbsInstance(gap.graph, gap.e1, gap.e2, gap.nu)
     if name.startswith("star"):
         return star_instance(int(name[len("star"):]))
-    return blockset.root_instance(corpus.corpus_graph(int(name[len("corpus"):])))
+    g = corpus.corpus_graph(int(name[len("corpus"):]))
+    return blockset.root_instance(g, matching.matching_number(g))
 
 
 def _input_file(name: str, tmp_path, capsys) -> str:

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netbargain import cli
 from netbargain import graphcore as gc
-from netbargain.errors import InputError
+from netbargain.errors import InputError, InternalInvariantError
 
 import corpus
+import densitybrute
 
 
 def names(n):
@@ -15,8 +17,8 @@ def names(n):
 
 
 @st.composite
-def random_graphs(draw, max_n=8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def random_graphs(draw, max_n=8, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     vs = names(n)
     pairs = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
     picked = [p for p in pairs if draw(st.booleans())]
@@ -119,19 +121,21 @@ def test_sparsity_bounds_every_subset(g, data):
     assert g.induced_edge_count(subset) <= sp.omega * len(subset)
 
 
-@given(random_graphs(max_n=9))
-@settings(max_examples=25, deadline=None)
+@given(random_graphs(min_n=0, max_n=12))
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_flow_path_agrees_with_enumeration(g):
+    sp = gc.compute_sparsity(g)
+    assert sp.density == densitybrute.max_density(g)
+    assert sp.omega == max(Fraction(1), sp.density)
     if g.m == 0:
-        return
-    density, _ = gc._densest_subset_brute(g)
-    flow_density, flow_witness = gc._densest_subset_flow(g)
-    assert flow_density == density
-    assert Fraction(g.induced_edge_count(flow_witness), len(flow_witness)) == flow_density
+        assert sp.witness is None
+    else:
+        assert Fraction(g.induced_edge_count(sp.witness), len(sp.witness)) == sp.density
 
 
 def test_flow_path_on_larger_graph():
-    # K5 block plus a 19-vertex tail: 24 vertices forces the max-flow search
+    # K5 block plus a 19-vertex tail: the search must improve on the whole
+    # graph's density 29/24 and settle on the K5 at density 2
     vs = [f"k{i}" for i in range(5)]
     edges = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
     tail = ["k0"] + [f"t{i:02d}" for i in range(19)]
@@ -141,6 +145,17 @@ def test_flow_path_on_larger_graph():
     sp = gc.compute_sparsity(g)
     assert sp.density == 2
     assert set(sp.witness) == set(vs)
+
+
+def test_density_search_without_progress_is_an_invariant_violation(monkeypatch, capsys, tmp_path):
+    # a cut that returns the whole graph does not improve its density
+    monkeypatch.setattr(gc, "_density_improvement", lambda g, guess: g.vertices)
+    with pytest.raises(InternalInvariantError, match="failed to improve"):
+        gc.compute_sparsity(corpus.k3())
+    path = tmp_path / "k3.txt"
+    path.write_text("a b\nb c\na c\n")
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "internal invariant violation" in capsys.readouterr().err
 
 
 def test_flow_path_on_long_path_needs_no_recursion():
