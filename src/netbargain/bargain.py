@@ -76,6 +76,11 @@ class SurplusState:
         return frozenset(edge_key(i, j) for i, j in self.level_pairs)
 
 
+def _outside_options(g: Graph, i: str, j: str) -> list[SurplusTerm]:
+    """The outside options of i against j, in neighbour order."""
+    return [SurplusTerm(1, (i, k)) for k in g.neighbors(i) if k != j] or [SurplusTerm(0, (i,))]
+
+
 def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     """Evaluate every directed surplus of adjacent pairs under x."""
     if set(x) != set(g.vertices):
@@ -85,20 +90,11 @@ def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     term: dict[Pair, SurplusTerm] = {}
     for u, v in g.edges:
         for i, j in ((u, v), (v, u)):
-            best: SurplusTerm | None = None
-            best_val: Fraction | None = None
-            for k in g.neighbors(i):
-                if k == j:
-                    continue
-                cand = SurplusTerm(1, (i, k))
-                val = cand.value(xs)
-                if best_val is None or val > best_val:
-                    best, best_val = cand, val
-            if best is None:
-                best = SurplusTerm(0, (i,))
-                best_val = best.value(xs)
-            s[(i, j)] = best_val
-            term[(i, j)] = best
+            options = _outside_options(g, i, j)
+            values = [t.value(xs) for t in options]
+            best = max(values)
+            s[(i, j)] = best
+            term[(i, j)] = options[values.index(best)]  # ties: the smallest neighbour
 
     violated = tuple(
         sorted((p for p in s if s[p] > s[(p[1], p[0])]), key=lambda p: (-s[p], p))
@@ -224,12 +220,7 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
         for i, j in ((u, v), (v, u)):
             if (i, j) in st.upper_pairs:
                 continue
-            options: list[SurplusTerm] = [
-                SurplusTerm(1, (i, k)) for k in g.neighbors(i) if k != j
-            ]
-            if not options:
-                options = [SurplusTerm(0, (i,))]
-            for t in options:
+            for t in _outside_options(g, i, j):
                 key = (t.constant, tuple(sorted(t.members)))
                 if key in seen_caps:
                     continue

@@ -56,8 +56,9 @@ class GbsInstance:
     nu: int
 
     def __post_init__(self):
-        e1 = tuple(sorted(edge_key(*e) for e in self.e1))
-        e2 = tuple(sorted(edge_key(*e) for e in self.e2))
+        # repeated edges collapse, as they do in Graph.build
+        e1 = tuple(sorted({edge_key(*e) for e in self.e1}))
+        e2 = tuple(sorted({edge_key(*e) for e in self.e2}))
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
         s1, s2 = set(e1), set(e2)

@@ -126,6 +126,17 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
+def _write_out(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
+
+
 def _base_report(raw: bytes) -> dict:
     return {"input_digest": hashlib.sha256(raw).hexdigest()}
 
@@ -162,7 +173,7 @@ def _stabilize_sections(g, inst, raw, args) -> tuple[dict, blockset.BlockingSetR
     if args.trace:
         report.setdefault("traces", {})["blockset"] = list(result.trace)
     if args.dot:
-        Path(args.dot).write_text(to_dot(g, result.blocking_set, name="stabilized"))
+        _write_out(to_dot(g, result.blocking_set, name="stabilized"), args.dot)
     return report, result
 
 
@@ -215,13 +226,6 @@ def cmd_oracle_min_blockset(args) -> int:
     return 0
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_gen_gap(args) -> int:
     inst = oracle.gen_gap(args.n)
     obj = {
@@ -248,7 +252,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("file", help="edge-list or instance-JSON input")
-        p.add_argument("--json", action="store_true", help="JSON output (the default)")
         p.add_argument("--omega", metavar="P/Q", help="override the computed sparsity")
         p.add_argument("--trace", action="store_true", help="include per-step traces")
 
@@ -270,7 +273,6 @@ def build_parser() -> _Parser:
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p = oracle_sub.add_parser("min-blockset", help="exact minimum blocking set by enumeration")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("--nu", type=int, help="budget override")
     p.add_argument("--max-size", type=int, default=None, help="enumeration cutoff")
     p.set_defaults(func=cmd_oracle_min_blockset)

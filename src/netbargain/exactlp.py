@@ -6,8 +6,10 @@ variable bounds.  All arithmetic is over `Fraction`; there is no
 floating-point phase, so callers can compare solution values against
 thresholds like 1/3 exactly.  The solver returns optimal *basic*
 solutions (vertices of the feasible region), row duals, and the rows
-that define the returned vertex.  `violations` checks any point against
-an LP's rows and nonnegativity.
+that define the returned vertex.  Every row stays in the tableau for the
+whole solve; a redundant one keeps an artificial basic at 0 and is left
+out of the defining rows.  `violations` checks any point against an LP's
+rows and nonnegativity.
 
 Pivoting uses Bland's rule over the canonical variable order, which
 guarantees termination and makes every solve deterministic.
@@ -177,7 +179,6 @@ class _Row:
     flipped: bool = False
     slack_col: int = -1       # slack (<=) or surplus (>=) column
     art_col: int = -1
-    dead: bool = False        # redundant row dropped after phase 1
 
 
 def solve(p: LpProblem) -> LpSolution:
@@ -216,7 +217,6 @@ def solve(p: LpProblem) -> LpSolution:
 
     tab_rows: list[list[Fraction]] = []
     basis: list[int] = []
-    owners: list[_Row] = []
     for row in rows:
         line = row.coeffs + [_Z] * (ncols - n) + [row.rhs]
         if row.rel == LE:
@@ -230,7 +230,6 @@ def solve(p: LpProblem) -> LpSolution:
             line[row.art_col] = _ONE
             basis.append(row.art_col)
         tab_rows.append(line)
-        owners.append(row)
 
     tab = _Tableau(tab_rows, basis, ncols)
     art_set = frozenset(art_cols)
@@ -244,7 +243,7 @@ def solve(p: LpProblem) -> LpSolution:
             raise AssertionError("phase 1 cannot be unbounded")
         if sum((cb * row[-1] for row, cb in tab.priced(cost1)), _Z) > 0:
             return LpSolution(status=INFEASIBLE)
-        _drive_out_artificials(tab, owners, art_set)
+        _drive_out_artificials(tab, art_set)
 
     sense_factor = _ONE if p.sense == "min" else -_ONE
     cost2 = [c * sense_factor for c in cost_user] + [_Z] * (ncols - n)
@@ -265,7 +264,7 @@ def solve(p: LpProblem) -> LpSolution:
     defining_rows = frozenset(
         i
         for i, row in enumerate(rows)
-        if not row.dead and (row.rel == EQ or row.slack_col not in basis_set)
+        if tab.basis[i] not in art_set and (row.rel == EQ or row.slack_col not in basis_set)
     )
     return LpSolution(
         status=OPTIMAL,
@@ -276,8 +275,13 @@ def solve(p: LpProblem) -> LpSolution:
     )
 
 
-def _drive_out_artificials(tab: _Tableau, owners: list[_Row], art_set: frozenset[int]) -> None:
-    """Pivot zero-valued basic artificials out; drop rows that turn out redundant."""
+def _drive_out_artificials(tab: _Tableau, art_set: frozenset[int]) -> None:
+    """Pivot zero-valued basic artificials out where the row allows it.
+
+    A row whose basic variable stays artificial is zero in every other
+    column, so phase 2, which bans artificial columns, never pivots on it
+    or changes it, and pricing skips it because its basic cost is 0.
+    """
     for i in range(len(tab.rows)):
         if tab.basis[i] in art_set:
             target = -1
@@ -287,16 +291,10 @@ def _drive_out_artificials(tab: _Tableau, owners: list[_Row], art_set: frozenset
                     break
             if target >= 0:
                 tab.pivot(i, target)
-    dead = [i for i in range(len(tab.rows)) if tab.basis[i] in art_set]
-    for i in reversed(dead):
-        owners[i].dead = True
-        del tab.rows[i]
-        del tab.basis[i]
-        del owners[i]
 
 
 def _user_dual(costs: list[Fraction], priced: _Priced, row: _Row, sense: str) -> Fraction:
-    # a row dropped after phase 1 keeps its artificial column, so it reads the same way
+    # a redundant row, whose basic variable stays artificial, reads its dual the same way
     col = row.art_col if row.art_col >= 0 else row.slack_col
     y = -_reduced_cost(costs, priced, col)
     if row.flipped:

@@ -1,7 +1,8 @@
 """Undirected graphs with exact sparsity certificates and the two-copy bipartite reduction.
 
 Sparsity (maximum subgraph density) is found at every size by one
-method: iterated improvement with Goldberg's minimum-cut density test.
+method: iterated improvement with Goldberg's minimum-cut density test,
+whose cut comes from one shortest-augmenting-path max-flow function.
 
 Everything here is deterministic: vertices are strings, all canonical
 orders are lexicographic, and all numeric quantities are `Fraction`s.
@@ -192,81 +193,44 @@ def compute_sparsity(g: Graph) -> Sparsity:
     return Sparsity(max(Fraction(1), density), density, witness)
 
 
-class _Dinic:
-    """Integer max-flow, deterministic for a fixed edge insertion order."""
+def _min_cut(
+    n: int, arcs: Iterable[tuple[int, int, int, int]], s: int, t: int
+) -> tuple[int, set[int]]:
+    """Maximum s-t flow and the source side of the minimal minimum cut.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev]
-
-    def add_edge(self, u: int, v: int, cap: int, back_cap: int) -> None:
-        """Arc u->v of capacity `cap` paired with its reverse v->u of capacity `back_cap`."""
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, back_cap, len(self.graph[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.graph[u]:
-                if e[1] > 0 and level[e[0]] < 0:
-                    level[e[0]] = level[u] + 1
-                    q.append(e[0])
-        return level[t] >= 0
-
-    def _augment(self, s: int, t: int) -> int:
-        """Push flow along the first s-t path of the level graph; 0 if none is left.
-
-        Depth-first with an explicit stack of (tail, edge) pairs.  An edge
-        leading to a dead end advances its tail's edge pointer; an edge on
-        an augmenting path keeps it, as it may carry more flow later.
-        """
-        graph, it, level = self.graph, self.it, self.level
-        path: list[tuple[int, list[int]]] = []
-        u = s
-        while u != t:
-            adj = graph[u]
-            while it[u] < len(adj):
-                e = adj[it[u]]
-                if e[1] > 0 and level[e[0]] == level[u] + 1:
-                    path.append((u, e))
-                    u = e[0]
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0
-                u, _ = path.pop()
-                it[u] += 1
-        f = min(e[1] for _, e in path)
-        for _, e in path:
-            e[1] -= f
-            graph[e[0]][e[2]][1] += f
-        return f
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._augment(s, t)
-                if f == 0:
-                    break
-                flow += f
-        return flow
-
-    def reachable_from(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.graph[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    q.append(e[0])
-        return seen
+    Each arc (u, v, cap, back_cap) is an arc u->v paired with its reverse
+    v->u.  Shortest augmenting paths (Edmonds-Karp) are pushed until a
+    search fails to reach t; the vertices that search reaches are the
+    source side, which is the same for every maximum flow.
+    """
+    graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, index of reverse]
+    for u, v, cap, back_cap in arcs:
+        graph[u].append([v, cap, len(graph[v])])
+        graph[v].append([u, back_cap, len(graph[u]) - 1])
+    flow = 0
+    while True:
+        via: list[tuple[int, list[int]] | None] = [None] * n  # (tail, arc) that reached each node
+        via[s] = (s, [])
+        reached = [s]
+        for u in reached:  # breadth first: the list grows while it is read
+            for arc in graph[u]:
+                if arc[1] > 0 and via[arc[0]] is None:
+                    via[arc[0]] = (u, arc)
+                    reached.append(arc[0])
+            if via[t] is not None:
+                break
+        else:
+            return flow, set(reached)
+        path = []
+        v = t
+        while v != s:
+            v, arc = via[v]
+            path.append(arc)
+        push = min(arc[1] for arc in path)
+        for arc in path:
+            arc[1] -= push
+            graph[arc[0]][arc[2]][1] += push
+        flow += push
 
 
 def _density_improvement(g: Graph, guess: Fraction) -> tuple[str, ...] | None:
@@ -283,22 +247,21 @@ def _density_improvement(g: Graph, guess: Fraction) -> tuple[str, ...] | None:
     p, q = guess.numerator, guess.denominator
     order = g.vertices
     index = {v: i for i, v in enumerate(order)}
-    net = _Dinic(g.n + 2)
     s, t = g.n, g.n + 1
-    flow = 0
+    netted = 0
+    arcs = []
     for i, v in enumerate(order):
         source_cap, sink_cap = g.degree(v) * q, 2 * p
-        flow += min(source_cap, sink_cap)
+        netted += min(source_cap, sink_cap)
         if source_cap > sink_cap:
-            net.add_edge(s, i, source_cap - sink_cap, 0)
+            arcs.append((s, i, source_cap - sink_cap, 0))
         elif sink_cap > source_cap:
-            net.add_edge(i, t, sink_cap - source_cap, 0)
+            arcs.append((i, t, sink_cap - source_cap, 0))
     for u, v in g.edges:
-        net.add_edge(index[u], index[v], q, q)
-    flow += net.max_flow(s, t)
-    if flow >= 2 * g.m * q:
+        arcs.append((index[u], index[v], q, q))
+    flow, side = _min_cut(g.n + 2, arcs, s, t)
+    if netted + flow >= 2 * g.m * q:
         return None
-    side = net.reachable_from(s)
     subset = tuple(order[i] for i in range(g.n) if i in side)
     return subset or None
 

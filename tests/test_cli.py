@@ -221,6 +221,29 @@ def test_dot_export(capsys, k3_file, tmp_path):
         assert f'"{u}" -- "{v}" [style=dashed];' in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stabilize", "{k3}", "--dot", "{missing}/x.dot"),
+        ("balance", "{k3}", "--dot", "{directory}"),
+        ("gen", "gap", "--n", "2", "--out", "{missing}/g.json"),
+        ("gen", "sparse", "--n", "4", "--seed", "1", "--out", "{missing}/g.txt"),
+    ],
+)
+def test_unwritable_output_path_exit_1(capsys, tmp_path, k3_file, argv):
+    paths = {"k3": k3_file, "missing": str(tmp_path / "missing"), "directory": str(tmp_path)}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert "internal" not in err
+
+
+@pytest.mark.parametrize("argv", [("analyze",), ("stabilize",), ("balance",), ("oracle", "min-blockset")])
+def test_json_flag_is_not_an_option(capsys, k3_file, argv):
+    # every report is JSON, so there is no flag to ask for it
+    assert run(capsys, *argv, k3_file)[0] == 0
+    assert run(capsys, *argv, k3_file, "--json")[0] == 1
+
+
 def test_trace_flag_includes_traces(capsys, k3_file):
     code, out, _ = run(capsys, "balance", k3_file, "--trace")
     report = json.loads(out)
@@ -294,6 +317,20 @@ def test_instance_json_bad_field_exit_1(capsys, tmp_path, field, value):
     code, _, err = run(capsys, "stabilize", _instance_file(tmp_path, **{field: value}))
     assert code == 1
     assert field in err and "internal" not in err
+
+
+@pytest.mark.parametrize("command", ["stabilize", "balance"])
+def test_repeated_instance_edges_collapse(capsys, tmp_path, command):
+    obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+           "e1": [["a", "b"], ["b", "a"], ["b", "c"]], "e2": [["a", "c"]], "nu": 1}
+    repeated = write(tmp_path, "repeated.json", json.dumps(obj))
+    obj["e1"] = [["a", "b"], ["b", "c"]]
+    plain = write(tmp_path, "plain.json", json.dumps(obj))
+    code, out, err = run(capsys, command, repeated)
+    assert code == 0, err
+    report, expected = json.loads(out), json.loads(run(capsys, command, plain)[1])
+    assert report.pop("input_digest") != expected.pop("input_digest")
+    assert report == expected
 
 
 def _protected_file(tmp_path, edges, nu):

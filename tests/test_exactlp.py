@@ -125,6 +125,8 @@ def test_duals_of_a_row_dropped_after_phase_1():
     s = exactlp.solve(lp)
     assert s.objective == -3
     assert s.duals == (0, Fraction(-1, 2), Fraction(1, 2), 0, 0)
+    # the redundant row stays in the tableau but not in the defining system
+    assert s.defining_rows == {0, 1}
     assert exactlp.check_certificates(lp, s) == []
 
 
@@ -135,17 +137,22 @@ def test_determinism():
     assert s1 == s2
 
 
-def _tight_system_rank(lp, s):
+def _is_tight(con, s):
+    return sum((c * s.values[v] for v, c in con.coeffs.items()), Fraction(0)) == con.rhs
+
+
+def _tight_system_rank(lp, s, picked=None):
+    """Rank of the rows in `picked` (every tight row by default) and the zero variables."""
+    if picked is None:
+        picked = [i for i, con in enumerate(lp.constraints) if _is_tight(con, s)]
     rows = []
     idx = {v: i for i, v in enumerate(lp.variables)}
     n = len(lp.variables)
-    for con in lp.constraints:
-        lhs = sum((c * s.values[v] for v, c in con.coeffs.items()), Fraction(0))
-        if lhs == con.rhs:
-            dense = [Fraction(0)] * n
-            for v, c in con.coeffs.items():
-                dense[idx[v]] = c
-            rows.append(dense)
+    for i in picked:
+        dense = [Fraction(0)] * n
+        for v, c in lp.constraints[i].coeffs.items():
+            dense[idx[v]] = c
+        rows.append(dense)
     for v in lp.variables:
         if s.values[v] == 0:
             dense = [Fraction(0)] * n
@@ -244,3 +251,5 @@ def test_certificates_hold_when_phase_1_drops_a_row(lp):
     assert s.status == exactlp.OPTIMAL
     assert s.objective == lpbrute.best_vertex_value(lp)
     assert exactlp.check_certificates(lp, s) == []
+    assert all(_is_tight(lp.constraints[i], s) for i in s.defining_rows)
+    assert _tight_system_rank(lp, s, s.defining_rows) == len(lp.variables)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netbargain import cli
@@ -164,6 +164,45 @@ def test_flow_path_on_long_path_needs_no_recursion():
     names = [f"p{i:04d}" for i in range(2001)]
     g = gc.Graph.build(list(zip(names, names[1:])))
     assert gc.compute_sparsity(g).density == Fraction(2000, 2001)
+
+
+@st.composite
+def flow_networks(draw):
+    """Up to 7 nodes; each arc has its own forward and reverse capacity."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    node = st.integers(min_value=0, max_value=n - 1)
+    cap = st.integers(min_value=0, max_value=5)
+    arcs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        u, v = draw(node), draw(node)
+        if u != v:
+            arcs.append((u, v, draw(cap), draw(cap)))
+    return n, arcs
+
+
+# random networks almost never need flow sent back along an arc, so one that
+# does is given: the first shortest path 0-1-3-5 must be undone via 3->1
+@given(flow_networks())
+@example((6, [(0, 1, 1, 0), (0, 2, 1, 0), (1, 3, 1, 0), (1, 4, 1, 0),
+              (2, 3, 1, 0), (3, 5, 1, 0), (4, 5, 1, 0)]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_min_cut_agrees_with_cut_enumeration(network):
+    n, arcs = network
+    s, t = 0, n - 1
+    cuts = {}
+    for mask in range(1 << n):
+        side = frozenset(i for i in range(n) if mask >> i & 1)
+        if s in side and t not in side:
+            cuts[side] = sum(
+                cap if u in side else back_cap
+                for u, v, cap, back_cap in arcs
+                if (u in side) != (v in side)
+            )
+    least = min(cuts.values())
+    flow, side = gc._min_cut(n, arcs, s, t)
+    assert flow == least
+    # the minimal minimum cut: the source side that every minimum cut contains
+    assert side == frozenset.intersection(*(c for c, value in cuts.items() if value == least))
 
 
 def test_uncovered_edge_finds_first_bare_edge():
