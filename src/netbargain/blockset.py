@@ -110,6 +110,8 @@ class ExtremePoint:
     tight_e2: frozenset[Edge]
     budget_tight: bool
     classification: GoodCertificate | BadPartition | None
+    #: row duals in the order `_build_lp` adds the rows: e1 covers, e2 covers, budget
+    duals: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -150,19 +152,6 @@ def _build_lp(inst: GbsInstance) -> tuple[exactlp.LpProblem, dict[Edge, int], di
         )
     budget_row = lp.add_constraint({xn: 1 for xn in xnames}, exactlp.LE, inst.nu, name="budget")
     return lp, e1_rows, e2_rows, budget_row
-
-
-def relaxation_value(inst: GbsInstance) -> Fraction:
-    """Optimal value of the relaxation, with no structural analysis.
-
-    Works on any graph; used for the certificate that lower-bounds the
-    optimum blocking set size.
-    """
-    lp, _, _, _ = _build_lp(inst)
-    sol = exactlp.solve(lp)
-    if sol.status != exactlp.OPTIMAL:
-        raise InternalInvariantError(f"relaxation not solvable: {sol.status}")
-    return sol.objective
 
 
 def _uniform_alpha(values: Iterable[Fraction]) -> Fraction:
@@ -224,6 +213,7 @@ def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
         tight_e2=tight_e2,
         budget_tight=budget_tight,
         classification=None,
+        duals=sol.duals,
     )
     if sol.objective > 0:
         ep = replace(ep, classification=classify(ep, inst))
@@ -367,13 +357,15 @@ def _assert_node_invariants(
 
 def _ir(
     inst: GbsInstance, omega: Fraction
-) -> tuple[dict[str, Fraction], frozenset[Edge], list[_Node]]:
+) -> tuple[dict[str, Fraction], frozenset[Edge], list[_Node], ExtremePoint | None]:
     """The rounding recursion: every node has at most one child, so descend
-    to a leaf, then unwind the nodes, asserting I1-I3 at each one.
+    to a leaf, then unwind the nodes, asserting I1-I3 at each one.  Also
+    returns the root's extreme point, None when the root solves no LP.
     """
     # every step strictly decreases |V| + |E1|
     limit = inst.graph.n + len(inst.e1) + 1
     nodes: list[_Node] = []
+    root = None
     while True:
         if len(nodes) > limit:
             raise InternalInvariantError("recursion failed to make progress")
@@ -383,6 +375,8 @@ def _ir(
             x, blocked = {v: _Z for v in inst.graph.vertices}, frozenset()
             break
         ep = solve_gbs_lp(inst)
+        if not nodes:
+            root = ep
         cert = ep.classification
         solved = (inst, isolated, ep.objective, ep.alpha is not None)
         if ep.objective == 0:
@@ -422,7 +416,7 @@ def _ir(
         for v in node.isolated:
             x[v] = _Z
         _assert_node_invariants(node.inst, x, blocked, omega, node.lp_value)
-    return x, blocked, nodes
+    return x, blocked, nodes, root
 
 
 def _trace(nodes: list[_Node]) -> tuple[str, ...]:
@@ -456,7 +450,7 @@ def ir_solve(
     if is_bipartite(inst.graph) is None:
         raise PreconditionError("rounding runs on bipartite instances; see stabilize()")
     om = Fraction(omega) if omega is not None else compute_sparsity(inst.graph).omega
-    x, blocked, _ = _ir(inst, om)
+    x, blocked, _, _ = _ir(inst, om)
     return x, blocked
 
 
@@ -531,6 +525,40 @@ def _double_instance(inst: GbsInstance, d: DoubledGraph) -> GbsInstance:
     return GbsInstance(d.host, tuple(host_e1), tuple(host_e2), 2 * inst.nu)
 
 
+def _halved_host_value(
+    inst: GbsInstance, d: DoubledGraph, host_inst: GbsInstance, root: ExtremePoint
+) -> Fraction:
+    """The relaxation value of `inst`, proven from the optimal root of its double.
+
+    Swapping the two copies of every vertex maps the host relaxation onto
+    itself, so the host root point and row duals, averaged over the two
+    copies of every vertex and edge, are optimal for the relaxation of
+    `inst`, at half the value; the budget dual carries over unchanged.
+    They are checked as a certificate, and that LP is never solved.
+    """
+    lp, e1_rows, e2_rows, budget_row = _build_lp(inst)
+    host_rows = {h: i for i, h in enumerate(host_inst.e1 + host_inst.e2)}
+    duals = [_Z] * len(lp.constraints)
+    for e, row in chain(e1_rows.items(), e2_rows.items()):
+        h1, h2 = d.edge_map[e]
+        duals[row] = (root.duals[host_rows[h1]] + root.duals[host_rows[h2]]) / 2
+    duals[budget_row] = root.duals[-1]
+    # the rounding drops isolated vertices, which sit at 0
+    values = {
+        f"x {v}": (root.x.get(c1, _Z) + root.x.get(c2, _Z)) / 2 for v, (c1, c2) in d.side_map.items()
+    }
+    for u, v in inst.e1:
+        h1, h2 = d.edge_map[(u, v)]
+        values[f"z {u} {v}"] = (root.z[h1] + root.z[h2]) / 2
+    value = root.objective / 2
+    bad = exactlp.check_certificates(
+        lp, exactlp.LpSolution(exactlp.OPTIMAL, values, value, tuple(duals))
+    )
+    if bad:
+        raise InternalInvariantError(f"averaged host root is no certificate: {'; '.join(bad)}")
+    return value
+
+
 def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> BlockingSetResult:
     """Blocking set plus allocation with a certified approximation factor.
 
@@ -538,8 +566,11 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
     through the two-copy reduction (factor 8*omega + 2).  The reported
     relaxation value of the root instance is a lower bound on the optimum
     blocking set size, so bound_holds certifies the factor without
-    knowing the optimum.  Raises InputError when the budget cannot cover
-    the protected edges, where the relaxation has no solution.
+    knowing the optimum.  On the two-copy path that value is half the
+    host root's, proven by the averaged host point and duals passing a
+    dual certificate check on the root instance's own LP, which is never
+    solved.  Raises InputError when the budget cannot cover the protected
+    edges, where the relaxation has no solution.
     """
     g = inst.graph
     om = Fraction(omega) if omega is not None else compute_sparsity(g).omega
@@ -550,16 +581,14 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
         raise InputError(f"budget {inst.nu} cannot cover e2, whose fractional matching is {need}")
 
     if is_bipartite(g) is not None:
-        x, blocked, nodes = _ir(inst, om)
+        x, blocked, nodes, _ = _ir(inst, om)
         root_value = nodes[0].lp_value
         factor = 2 * om + 1
     else:
-        root_value = relaxation_value(inst)
         d = bipartite_double(g)
         host_inst = _double_instance(inst, d)
-        xh, bh, nodes = _ir(host_inst, 2 * om)
-        if nodes[0].lp_value > 2 * root_value:
-            raise InternalInvariantError("host relaxation exceeded twice the original value")
+        xh, bh, nodes, root = _ir(host_inst, 2 * om)  # an odd cycle: the root solves its LP
+        root_value = _halved_host_value(inst, d, host_inst, root)
         x, blocked = pull_back(d, xh, bh)
         factor = 8 * om + 2
 

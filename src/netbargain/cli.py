@@ -274,17 +274,20 @@ def build_parser() -> _Parser:
     p = oracle_sub.add_parser("min-blockset", help="exact minimum blocking set by enumeration")
     p.add_argument("file")
     p.add_argument("--nu", type=int, help="budget override")
-    p.add_argument("--max-size", type=int, default=None, help="enumeration cutoff")
+    p.add_argument(
+        "--max-size", type=int, default=None,
+        help=f"enumeration cutoff; at most {oracle.MAX_ENUMERATED_SETS} candidate sets are tried",
+    )
     p.set_defaults(func=cmd_oracle_min_blockset)
 
     p_gen = sub.add_parser("gen", help="instance generators")
     gen_sub = p_gen.add_subparsers(dest="gen_command", required=True)
     p = gen_sub.add_parser("gap", help="worst-case layered instance (JSON)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"family size, at most {oracle.MAX_GAP_N}")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_gen_gap)
     p = gen_sub.add_parser("sparse", help="seeded random sparse graph (edge list)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"vertex count, at most {oracle.MAX_SPARSE_N}")
     p.add_argument("--omega", metavar="P/Q")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--edges", type=int, default=None)

@@ -343,22 +343,24 @@ def check_certificates(p: LpProblem, s: LpSolution) -> list[str]:
         return out
 
     is_min = p.sense == "min"
+    # y^T A accumulated in one pass over each row's nonzero coefficients
+    ya = dict.fromkeys(p.variables, _Z)
     for i, (con, y) in enumerate(zip(p.constraints, s.duals)):
         if con.rel == LE and ((is_min and y > 0) or (not is_min and y < 0)):
             out.append(f"dual sign violated on <= row {i}: {y}")
         if con.rel == GE and ((is_min and y < 0) or (not is_min and y > 0)):
             out.append(f"dual sign violated on >= row {i}: {y}")
-        if y != 0 and _lhs(con, vals) != con.rhs:
-            out.append(f"complementary slackness violated on row {i}")
+        if y != 0:
+            if _lhs(con, vals) != con.rhs:
+                out.append(f"complementary slackness violated on row {i}")
+            for v, a in con.coeffs.items():
+                ya[v] += y * a
 
     # every variable's only bound is 0, so reduced costs add nothing to the
     # dual objective; they must have the sign that keeps the variable there
     dual_obj = sum((y * con.rhs for y, con in zip(s.duals, p.constraints)), _Z)
     for v in p.variables:
-        c = Fraction(p.objective.get(v, 0))
-        r = c - sum(
-            (s.duals[i] * con.coeffs.get(v, _Z) for i, con in enumerate(p.constraints)), _Z
-        )
+        r = p.objective.get(v, _Z) - ya[v]
         if not is_min:
             r = -r
         if r > 0 and vals[v] != 0:

@@ -3,7 +3,8 @@
 The matching routine is an unweighted blossom search (BFS alternating
 forest with cycle contraction), exact on general graphs.  Stability
 analysis cross-checks three equivalent emptiness criteria and refuses to
-return if they ever disagree.
+return if they ever disagree; an empty core is proven by a fractional
+matching above the matching number, with no LP.
 """
 
 from __future__ import annotations
@@ -143,14 +144,26 @@ def inessential_vertices(g: Graph) -> tuple[str, ...]:
     return max_matching(g).inessential
 
 
-def fractional_matching_value(g: Graph) -> Fraction:
-    """Optimum of the degree-constrained fractional matching relaxation.
+def fractional_matching(g: Graph) -> dict[Edge, Fraction]:
+    """A maximum fractional matching, half-integral as Balinski shows.
 
-    By Balinski it is half the matching number of the bipartite double cover,
-    where vertex i becomes i and n + i, and edge ij is (i, n + j) and (j, n + i)."""
+    Each edge gets half the number of its copies in a maximum matching of
+    the bipartite double cover, where vertex i becomes i and n + i, and
+    edge ij is (i, n + j) and (j, n + i)."""
+    n = g.n
     adj = _adjacency(g)
-    mate, _ = _blossom(2 * g.n, [[g.n + j for j in nbrs] for nbrs in adj] + adj)
-    return Fraction(sum(j != -1 for j in mate), 4)
+    mate, _ = _blossom(2 * n, [[n + j for j in nbrs] for nbrs in adj] + adj)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    y = {}
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        y[(u, v)] = Fraction((mate[i] == n + j) + (mate[j] == n + i), 2)
+    return y
+
+
+def fractional_matching_value(g: Graph) -> Fraction:
+    """Optimum of the degree-constrained fractional matching relaxation."""
+    return sum(fractional_matching(g).values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -159,7 +172,9 @@ class CoreReport:
 
     The three criteria (integral vs fractional matching value, absence
     of an edge between two inessential vertices, feasibility of a stable
-    allocation) are all computed and must agree.
+    allocation) are all computed and must agree.  Feasibility is shown
+    by a witness allocation, infeasibility by a fractional matching of
+    value above nu.
     """
 
     nu: int
@@ -198,14 +213,21 @@ def stable_allocation(g: Graph) -> dict[str, Fraction]:
 
 
 def core_status(g: Graph) -> CoreReport:
+    """Diagnose the core; the allocation LP runs only when no fractional
+    matching above nu proves it infeasible."""
     m = max_matching(g)
     nu, iness = m.size, m.inessential
-    frac = fractional_matching_value(g)
+    y = fractional_matching(g)
+    frac = sum(y.values(), Fraction(0))
     iness_set = set(iness)
     offending = next(
         (e for e in g.edges if e[0] in iness_set and e[1] in iness_set), None
     )
-    witness = _stable_allocation(g, nu)
+    if frac > nu:
+        _assert_fractional_matching(g, y)
+        witness = None
+    else:
+        witness = _stable_allocation(g, nu)
 
     by_fractional_gap = frac == nu
     by_adjacency = offending is None
@@ -220,6 +242,24 @@ def core_status(g: Graph) -> CoreReport:
         _assert_stable(g, nu, witness)
         return CoreReport(nu, frac, iness, "nonempty", witness, None)
     return CoreReport(nu, frac, iness, "empty", None, offending)
+
+
+def _assert_fractional_matching(g: Graph, y: dict[Edge, Fraction]) -> None:
+    """Check y as a fractional matching of g.
+
+    Then sum(y) <= sum over edges uv of y_uv (x_u + x_v) <= sum(x) for
+    every allocation x that covers each edge, so y above nu proves that
+    no stable allocation of nu exists (Farkas).
+    """
+    load = dict.fromkeys(g.vertices, Fraction(0))
+    for (u, v), val in y.items():
+        if (u, v) not in g.edge_set or val < 0:
+            raise InternalInvariantError(f"fractional matching puts {val} on {u}-{v}")
+        load[u] += val
+        load[v] += val
+    for v, total in load.items():
+        if total > 1:
+            raise InternalInvariantError(f"fractional matching overloads {v}: {total}")
 
 
 def _assert_stable(g: Graph, nu: int, x: dict[str, Fraction]) -> None:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping
 
 from . import exactlp
@@ -19,6 +20,13 @@ from .errors import InputError, PreconditionError
 from .graphcore import Edge, Graph, compute_sparsity, edge_key
 
 _Z = Fraction(0)
+
+#: size caps, checked before anything is built: gen_gap makes 2n^2
+#: protected edges, gen_sparse draws from all n(n-1)/2 vertex pairs, and
+#: brute_min_blocking_set tries every candidate set up to its size cutoff
+MAX_GAP_N = 100
+MAX_SPARSE_N = 1000
+MAX_ENUMERATED_SETS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +66,8 @@ class GapInstance:
 def gen_gap(n: int) -> GapInstance:
     if not isinstance(n, int) or n < 1:
         raise InputError(f"gap family needs a positive size, got {n!r}")
+    if n > MAX_GAP_N:
+        raise InputError(f"gap family size {n} exceeds the cap of {MAX_GAP_N}")
     m = 2 * n
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{j}" for j in range(1, m + 1)]
@@ -88,6 +98,8 @@ def gen_sparse(
     """
     if n < 1:
         raise InputError("need at least one vertex")
+    if n > MAX_SPARSE_N:
+        raise InputError(f"{n} vertices exceed the cap of {MAX_SPARSE_N}")
     target = Fraction(omega_target)
     if target < 1:
         raise InputError("sparsity target must be at least 1")
@@ -139,23 +151,37 @@ def brute_max_matching(g: Graph) -> int:
 
 
 def _augmenting_matching(adj: dict[str, list[str]], left: list[str]) -> int:
-    """Simple alternating-path maximum matching on a bipartite adjacency."""
-    mate: dict[str, str] = {}
+    """Simple alternating-path maximum matching on a bipartite adjacency.
 
-    def try_augment(u: str, seen: set[str]) -> bool:
-        for w in adj[u]:
-            if w in seen:
+    Each left vertex starts a depth-first search for an augmenting path,
+    kept on an explicit stack so that no path length meets the recursion
+    limit.
+    """
+    mate: dict[str, str] = {}
+    size = 0
+    for root in left:
+        seen: set[str] = set()
+        # stack[i] is a left vertex and its untried neighbours; path[i] the
+        # right vertex taken from it, matched to stack[i + 1]
+        stack = [(root, iter(adj[root]))]
+        path: list[str] = []
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(w)
-            if w not in mate or try_augment(mate[w], seen):
-                mate[w] = u
-                return True
-        return False
-
-    size = 0
-    for u in left:
-        if try_augment(u, set()):
-            size += 1
+            path.append(w)
+            if w not in mate:
+                for (u, _), right in zip(stack, path):
+                    mate[right] = u
+                size += 1
+                break
+            stack.append((mate[w], iter(adj[mate[w]])))
     return size
 
 
@@ -213,16 +239,21 @@ def brute_min_blocking_set(
 
     Ties break lexicographically on the sorted edge tuple.  `blockable`
     restricts which edges may enter the set (defaults to all).  Returns
-    found=False when nothing within `max_size` works.
+    found=False when nothing within `max_size` works.  Raises InputError
+    when there are more than MAX_ENUMERATED_SETS candidate sets.
     """
     pool = sorted(
         {edge_key(*e) for e in (g.edges if blockable is None else blockable)}
     )
     if any(e not in g.edge_set for e in pool):
         raise PreconditionError("blockable edges must belong to the graph")
-    if len(pool) > 20:
-        raise PreconditionError("enumeration limited to 20 candidate edges")
     cap = len(pool) if max_size is None else min(max_size, len(pool))
+    sets = sum(comb(len(pool), k) for k in range(cap + 1))
+    if sets > MAX_ENUMERATED_SETS:
+        raise InputError(
+            f"{sets} candidate sets of at most {cap} of {len(pool)} edges exceed the "
+            f"enumeration limit of {MAX_ENUMERATED_SETS}; lower the size cutoff"
+        )
     checked = 0
     for k in range(cap + 1):
         for combo in combinations(pool, k):

@@ -1,14 +1,19 @@
+import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netbargain import blockset, matching, oracle
+from netbargain import blockset, exactlp, matching, oracle
 from netbargain.errors import InputError, InternalInvariantError, PreconditionError
 from netbargain.graphcore import Graph, bipartite_double, compute_sparsity
 
 import corpus
+from relaxation import relaxation_value
 
 
 def gap_instance(n):
@@ -87,7 +92,7 @@ def test_gap1_lp_value_and_unit_vertex():
 def test_doubled_k3_host_value_two():
     d = bipartite_double(corpus.k3())
     host_inst = blockset.GbsInstance(d.host, d.host.edges, (), 2)
-    value = blockset.relaxation_value(host_inst)
+    value = relaxation_value(host_inst)
     # primal witness: unit mass on two opposite cycle vertices, two uncovered
     # edges at 1; dual witness: 1 per edge, budget multiplier 2 -> 6 - 2*2 = 2
     assert value == 2
@@ -98,7 +103,7 @@ def test_doubled_k3_host_value_two():
 def test_empty_droppable_class_value_zero():
     g = corpus.p3()
     inst = blockset.GbsInstance(g, (), g.edges, 1)
-    assert blockset.relaxation_value(inst) == 0
+    assert relaxation_value(inst) == 0
 
 
 def test_classify_integral_heavy_edge():
@@ -196,7 +201,7 @@ def test_bad_leaf_round_removal_count():
     )
     x, blocked = blockset.bad_leaf_round(
         inst, bad, omega=compute_sparsity(inst.graph).omega,
-        lp_value=blockset.relaxation_value(inst),
+        lp_value=relaxation_value(inst),
     )
     removed = {v for v in bad.y_side if x[v] == 0}
     assert removed == {"y1", "y2"}
@@ -265,7 +270,7 @@ def test_ir_doubled_k3_meets_certified_bound():
     host_inst = blockset.GbsInstance(d.host, d.host.edges, (), 2)
     omega_host = Fraction(2)  # twice the original graph's sparsity
     x, blocked = blockset.ir_solve(host_inst, omega=omega_host)
-    assert len(blocked) <= (2 * omega_host + 1) * blockset.relaxation_value(host_inst)
+    assert len(blocked) <= (2 * omega_host + 1) * relaxation_value(host_inst)
     for u, v in d.host.edges:
         if (u, v) not in blocked:
             assert x[u] + x[v] >= 1
@@ -379,3 +384,65 @@ def test_random_instances_meet_guarantee():
         if opt.blocking_set:
             checked += 1
     assert checked  # the corpus contains genuinely unstable graphs
+
+
+# -- the root value of a non-bipartite instance, read off its double -----------
+
+
+@st.composite
+def odd_cycle_instances(draw):
+    """A triangle plus random edges on up to 7 vertices, some maybe isolated;
+    either the root instance or a random droppable/protected split with a
+    budget that covers the protected edges."""
+    n = draw(st.integers(3, 7))
+    names = [f"v{i}" for i in range(n)]
+    extra = draw(st.lists(st.sampled_from(list(combinations(names, 2))), max_size=8))
+    g = Graph.build([("v0", "v1"), ("v1", "v2"), ("v0", "v2")] + extra, names)
+    if draw(st.booleans()):
+        return blockset.root_instance(g, matching.matching_number(g))
+    protected = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    e2 = tuple([e for e, keep in zip(g.edges, protected) if keep])
+    e1 = tuple([e for e, keep in zip(g.edges, protected) if not keep])
+    need = matching.fractional_matching_value(Graph(g.vertices, e2))
+    return blockset.GbsInstance(g, e1, e2, draw(st.integers(math.ceil(need), n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(odd_cycle_instances())
+def test_host_root_value_is_twice_the_relaxation(inst):
+    value = relaxation_value(inst)
+    d = bipartite_double(inst.graph)
+    assert blockset.solve_gbs_lp(blockset._double_instance(inst, d)).objective == 2 * value
+    assert blockset.stabilize_instance(inst).root_lp_value == value
+
+
+def test_non_bipartite_input_solves_no_lp_on_g(monkeypatch):
+    solved = []
+    solve = exactlp.solve
+
+    def recording(lp):
+        solved.append(lp.variables)
+        return solve(lp)
+
+    monkeypatch.setattr(exactlp, "solve", recording)
+    for g in (corpus.k3(), corpus.c5(), corpus.corpus_graph(3)):
+        assert blockset.stabilize(g).root_lp_value > 0
+    # every LP is a host relaxation, whose vertices are the copies v#1 and v#2
+    assert solved
+    assert all("#" in name for names in solved for name in names)
+
+
+def test_tampered_host_dual_breaks_the_averaged_certificate(monkeypatch):
+    solve = blockset.solve_gbs_lp
+    calls = []
+
+    def tampering(inst):
+        ep = solve(inst)
+        calls.append(inst)
+        if len(calls) > 1:
+            return ep
+        return replace(ep, duals=(ep.duals[0] + Fraction(1, 7),) + ep.duals[1:])
+
+    monkeypatch.setattr(blockset, "solve_gbs_lp", tampering)
+    with pytest.raises(InternalInvariantError, match="averaged host root"):
+        blockset.stabilize(corpus.k3())

@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +144,55 @@ def test_oracle_min_blockset_gap1_uses_instance(capsys, gap1_file):
     report = json.loads(out)
     assert report["opt_size"] == 8
     assert report["nu"] == 1
+
+
+def test_oracle_min_blockset_size_cutoff_bounds_the_enumeration(capsys, tmp_path):
+    path = str(tmp_path / "g.txt")
+    assert cli.main(["gen", "sparse", "--n", "9", "--seed", "1", "--out", path]) == 0
+    assert len(open(path).read().splitlines()) == 27
+    # 1 + 27 + 351 + 2925 candidate sets of at most 3 edges
+    code, out, err = run(capsys, "oracle", "min-blockset", path, "--max-size", "3")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["found"] and report["candidates_checked"] <= 3304
+    # with no cutoff, 2**27 sets: too many to try, which is a usage error
+    code, out, err = run(capsys, "oracle", "min-blockset", path)
+    assert code == 1 and out == ""
+    assert "enumeration limit" in err and "internal" not in err
+
+
+def test_oracle_min_blockset_long_augmenting_paths(capsys, tmp_path):
+    # a 3000-vertex path whose cover search walks alternating paths thousands of edges long
+    names = [f"p{i:04d}" for i in range(3000)]
+    edges = [[a, b] for a, b in zip(names, names[1:])]
+    e1 = [edges[1], edges[1001], edges[2001]]  # blocking one keeps the matching number 1500
+    obj = {"vertices": names, "edges": edges, "e1": e1,
+           "e2": [e for e in edges if e not in e1], "nu": 1499}
+    path = write(tmp_path, "path.json", json.dumps(obj))
+    code, out, err = run(capsys, "oracle", "min-blockset", path, "--max-size", "1")
+    assert code == 0, err
+    report = json.loads(out)
+    assert not report["found"] and report["candidates_checked"] == 4
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, cap", [(("gap",), 100), (("sparse", "--seed", "1"), 1000)])
+def test_gen_size_cap_exit_1(capsys, argv, cap):
+    # a size of 10**17 is rejected before any vertex or edge is built; the
+    # child's 1 GiB address-space limit turns a missing cap into a MemoryError
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "netbargain.cli", "gen", *argv, "--n", "1" + "0" * 17],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_memory, timeout=120,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert f"cap of {cap}" in done.stderr and "internal" not in done.stderr
+    with pytest.raises(SystemExit):
+        cli.main(["gen", argv[0], "--help"])
+    assert f"at most {cap}" in capsys.readouterr().out
 
 
 def test_gen_gap_writes_instance(capsys, tmp_path):

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netbargain import matching, oracle
-from netbargain.errors import PreconditionError
+from netbargain import exactlp, matching, oracle
+from netbargain.errors import InternalInvariantError, PreconditionError
 from netbargain.graphcore import Graph
 
 import corpus
@@ -167,3 +167,30 @@ def test_core_criteria_agree_across_random_graphs():
             assert u in iness and v in iness
             assert report.fractional_value > report.nu
     assert nonempty and empty
+
+
+def test_empty_core_is_proven_without_an_lp(monkeypatch):
+    solves = []
+    solve = exactlp.solve
+    monkeypatch.setattr(exactlp, "solve", lambda lp: solves.append(lp) or solve(lp))
+    graphs = [corpus.corpus_graph(seed) for seed in range(30)]
+    empty = [g for g in graphs if matching.fractional_matching_value(g) > matching.matching_number(g)]
+    assert empty
+    for g in (corpus.k3(), corpus.c5(), *empty):
+        report = matching.core_status(g)
+        y = matching.fractional_matching(g)
+        assert report.status == "empty"
+        assert set(y.values()) <= {0, Fraction(1, 2), 1}
+        assert sum(y.values()) == report.fractional_value
+    assert solves == []
+    # a stable graph still proves its core by the allocation LP
+    assert matching.core_status(corpus.c4()).status == "nonempty"
+    assert len(solves) == 1
+
+
+def test_overloaded_fractional_matching_is_refused(monkeypatch):
+    # value 2 > nu = 1 on the triangle, but vertex a carries 2
+    tampered = {("a", "b"): Fraction(1), ("a", "c"): Fraction(1), ("b", "c"): Fraction(0)}
+    monkeypatch.setattr(matching, "fractional_matching", lambda g: tampered)
+    with pytest.raises(InternalInvariantError, match="overloads a"):
+        matching.core_status(corpus.k3())

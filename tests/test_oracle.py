@@ -120,7 +120,7 @@ def test_min_blocking_set_respects_max_size():
 
 def test_min_blocking_set_size_guard():
     g = oracle.gen_sparse(10, 3, seed=1, n_edges=21)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(InputError):  # 2**21 candidate sets
         oracle.brute_min_blocking_set(g, 3)
 
 
