@@ -269,9 +269,13 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
         round_shifts = 0
         s_str = f"{st.s_max.numerator}/{st.s_max.denominator}"
 
-        sol = exactlp.solve(build_delta_lp(st))
+        lp = build_delta_lp(st)
+        sol = exactlp.solve(lp)
         if sol.status != exactlp.OPTIMAL:
             raise InternalInvariantError(f"acceleration LP not optimal: {sol.status}")
+        bad = exactlp.check_certificates(lp, sol)
+        if bad:
+            raise InternalInvariantError(f"acceleration LP not certified: {'; '.join(bad)}")
         y = {v: sol.values[_var(v)] for v in g.vertices}
         st_y = surpluses(g, y)
         if st_y.violated:

@@ -182,9 +182,9 @@ def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
     sol = exactlp.solve(lp)
     if sol.status != exactlp.OPTIMAL:
         raise InternalInvariantError(f"relaxation not solvable: {sol.status}")
-    bad = exactlp.violations(lp, sol.values)
+    bad = exactlp.check_certificates(lp, sol)
     if bad:
-        raise InternalInvariantError(f"relaxation solution infeasible: {'; '.join(bad)}")
+        raise InternalInvariantError(f"relaxation solution not certified: {'; '.join(bad)}")
     g = inst.graph
     x = {v: sol.values[f"x {v}"] for v in g.vertices}
     z = {(u, v): sol.values[f"z {u} {v}"] for u, v in inst.e1}

@@ -2,14 +2,17 @@
 
 Every LP is `min` or `max` of a linear objective over nonnegative
 variables subject to `<=`, `=` and `>=` rows; there are no other
-variable bounds.  All arithmetic is over `Fraction`; there is no
-floating-point phase, so callers can compare solution values against
-thresholds like 1/3 exactly.  The solver returns optimal *basic*
-solutions (vertices of the feasible region), row duals, and the rows
-that define the returned vertex.  Every row stays in the tableau for the
-whole solve; a redundant one keeps an artificial basic at 0 and is left
-out of the defining rows.  `violations` checks any point against an LP's
-rows and nonnegativity.
+variable bounds.  The arithmetic is exact: the tableau holds Python
+`int` rows, each with one positive `int` denominator, and a `Fraction`
+is built only when the point, the objective and the duals are read out.
+There is no floating-point phase, so callers can compare solution
+values against thresholds like 1/3 exactly.  The solver returns optimal
+*basic* solutions (vertices of the feasible region), row duals, the
+rows that define the returned vertex, and the tableau's size and pivot
+counts.  Every row stays in the tableau for the whole solve; a
+redundant one keeps an artificial basic at 0 and is left out of the
+defining rows.  `violations` checks any point against an LP's rows and
+nonnegativity.
 
 Pivoting uses Bland's rule over the canonical variable order, which
 guarantees termination and makes every solve deterministic.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import PreconditionError
@@ -31,10 +35,9 @@ LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
 
 _Z = Fraction(0)
-_ONE = Fraction(1)
 
-#: (row, cost) of each basic variable with a nonzero cost, for pricing
-_Priced = list[tuple[list[Fraction], Fraction]]
+#: (row, weight) of each basic row with a nonzero cost, for pricing
+_Priced = list[tuple[list[int], int]]
 
 
 @dataclass
@@ -88,11 +91,14 @@ class LpProblem:
 class LpSolution:
     """Solve result.
 
-    `defining_rows` are the constraints that participate in the
-    full-rank tight system the simplex basis selects; together with the
-    nonbasic variables (all at 0) they determine the returned point
-    uniquely.  `duals` follow the convention under which the dual
-    objective equals the primal one (see `check_certificates`).
+    `defining_rows` are the constraints whose own slack, surplus and
+    artificial columns are all nonbasic; each is tight, and together with
+    the zero variables they determine the returned point uniquely.
+    `duals` follow the convention under which the dual objective equals
+    the primal one (see `check_certificates`).  The size of the tableau
+    (rows; columns for the variables, slacks, surpluses and artificials)
+    and the pivots of each phase are reported for observability and take
+    no part in equality.
     """
 
     status: str
@@ -100,83 +106,116 @@ class LpSolution:
     objective: Fraction | None = None
     duals: tuple[Fraction, ...] = ()
     defining_rows: frozenset[int] = frozenset()
+    rows: int = field(default=0, compare=False)
+    columns: int = field(default=0, compare=False)
+    phase1_pivots: int = field(default=0, compare=False)
+    driveout_pivots: int = field(default=0, compare=False)
+    phase2_pivots: int = field(default=0, compare=False)
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting.
+    """Simplex tableau of integer rows with Bland pivoting.
 
-    The arithmetic skips zero entries: a pivot touches only the columns
-    where the pivot row is nonzero, and pricing only nonzero entries.
+    Entry j of row i stands for `rows[i][j] / dens[i]`, where the last
+    entry is the right-hand side and `dens[i] > 0`.  A pivot touches only
+    the rows that are nonzero in the pivot column, and in them only the
+    columns where the pivot row is nonzero; each changed row is then
+    divided by the gcd of its entries and its denominator.  Pricing and
+    the ratio test cross-multiply, so no `Fraction` is built.
     """
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
-        self.rows = rows          # each row: ncols coefficients + rhs
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int):
+        self.rows = rows
+        self.dens = dens
         self.basis = basis
         self.ncols = ncols
+        self.pivots = 0
 
     def pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
-        inv = _ONE / prow[c]
+        rows, dens = self.rows, self.dens
+        prow = rows[r]
         cols = [j for j, a in enumerate(prow) if a]
-        for j in cols:
-            prow[j] *= inv
-        for i, row in enumerate(self.rows):
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            for j in cols:
+                prow[j] //= g
+        p = prow[c]
+        dens[r] = p
+        for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
+                g = gcd(f, p)
+                s, t = p // g, f // g
+                if s != 1:
+                    row = rows[i] = [a * s for a in row]
                 for j in cols:
-                    row[j] -= f * prow[j]
+                    row[j] -= t * prow[j]
+                d = dens[i] * s
+                g = gcd(d, *row)
+                if g != 1:
+                    rows[i] = [a // g for a in row]
+                dens[i] = d // g
         self.basis[r] = c
+        self.pivots += 1
 
-    def priced(self, costs: list[Fraction]) -> _Priced:
-        return [(self.rows[i], costs[b]) for i, b in enumerate(self.basis) if costs[b]]
+    def priced(self, costs: list[int]) -> tuple[int, _Priced]:
+        """A positive scale and the rows to price with: the reduced cost of
+        column j, times the scale, is `_scaled_reduced_cost(costs, scale, priced, j)`."""
+        rows, dens = self.rows, self.dens
+        basic = [(i, costs[b]) for i, b in enumerate(self.basis) if costs[b]]
+        scale = lcm(*[dens[i] for i, _ in basic])
+        return scale, [(rows[i], cb * (scale // dens[i])) for i, cb in basic]
 
-    def run(self, costs: list[Fraction], banned: frozenset[int]) -> str:
+    def run(self, costs: list[int], banned: frozenset[int]) -> str:
         """Minimize `costs`; Bland's rule (lowest eligible index) throughout."""
         rows, basis = self.rows, self.basis
         while True:
-            priced = self.priced(costs)
+            scale, priced = self.priced(costs)
             basis_set = set(basis)
             enter = -1
             for j in range(self.ncols):
-                if j not in banned and j not in basis_set and _reduced_cost(costs, priced, j) < 0:
+                if (
+                    j not in banned
+                    and j not in basis_set
+                    and _scaled_reduced_cost(costs, scale, priced, j) < 0
+                ):
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
+            # the smallest rhs / a over a > 0; the denominators cancel
             leave = -1
-            best_ratio: Fraction | None = None
             for i, row in enumerate(rows):
-                t = row[enter]
-                if t > 0:
-                    ratio = row[-1] / t
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
+                a = row[enter]
+                if a > 0:
+                    if leave < 0:
                         leave = i
+                    else:
+                        lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                        if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                            leave = i
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
 
-def _reduced_cost(costs: list[Fraction], priced: _Priced, j: int) -> Fraction:
-    """Reduced cost of column j; the one pricing routine of phases 1, 2 and the duals."""
-    cbar = costs[j]
-    for row, cb in priced:
+def _scaled_reduced_cost(costs: list[int], scale: int, priced: _Priced, j: int) -> int:
+    """Reduced cost of column j times `scale`; the one pricing routine of
+    phases 1, 2 and the duals."""
+    cbar = scale * costs[j]
+    for row, w in priced:
         a = row[j]
         if a:
-            cbar -= cb * a
+            cbar -= w * a
     return cbar
 
 
 @dataclass
 class _Row:
-    coeffs: list[Fraction]
     rel: str
-    rhs: Fraction
-    flipped: bool = False
+    flipped: bool
     slack_col: int = -1       # slack (<=) or surplus (>=) column
     art_col: int = -1
 
@@ -189,18 +228,13 @@ def solve(p: LpProblem) -> LpSolution:
     the identical solution.
     """
     n = len(p.variables)
-    cost_user = [Fraction(p.objective.get(v, 0)) for v in p.variables]
+    cost_user = [p.objective.get(v, _Z) for v in p.variables]
 
-    rows: list[_Row] = []
-    for con in p.constraints:
-        row = _Row([_Z] * n, con.rel, con.rhs)
-        if con.rhs < 0:
-            row.rhs = -con.rhs
-            row.rel = {LE: GE, GE: LE, EQ: EQ}[con.rel]
-            row.flipped = True
-        for v, c in con.coeffs.items():
-            row.coeffs[p._index[v]] = -c if row.flipped else c
-        rows.append(row)
+    # a negative right-hand side flips the row
+    rows = [
+        _Row({LE: GE, GE: LE, EQ: EQ}[con.rel], True) if con.rhs < 0 else _Row(con.rel, False)
+        for con in p.constraints
+    ]
 
     # column layout: structural | slack/surplus | artificial
     ncols = n
@@ -215,63 +249,85 @@ def solve(p: LpProblem) -> LpSolution:
             art_cols.append(ncols)
             ncols += 1
 
-    tab_rows: list[list[Fraction]] = []
+    # each line over the lcm of its row's denominators; the lines need no gcd
+    # reduction, since some coefficient carries each prime power of the lcm
+    tab_rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
-    for row in rows:
-        line = row.coeffs + [_Z] * (ncols - n) + [row.rhs]
+    for con, row in zip(p.constraints, rows):
+        den = lcm(con.rhs.denominator, *[c.denominator for c in con.coeffs.values()])
+        sign = -1 if row.flipped else 1
+        line = [0] * (ncols + 1)
+        for v, c in con.coeffs.items():
+            line[p._index[v]] = sign * c.numerator * (den // c.denominator)
+        line[-1] = sign * con.rhs.numerator * (den // con.rhs.denominator)
         if row.rel == LE:
-            line[row.slack_col] = _ONE
+            line[row.slack_col] = den
             basis.append(row.slack_col)
-        elif row.rel == GE:
-            line[row.slack_col] = -_ONE
-            line[row.art_col] = _ONE
-            basis.append(row.art_col)
         else:
-            line[row.art_col] = _ONE
+            if row.rel == GE:
+                line[row.slack_col] = -den
+            line[row.art_col] = den
             basis.append(row.art_col)
         tab_rows.append(line)
+        dens.append(den)
 
-    tab = _Tableau(tab_rows, basis, ncols)
+    tab = _Tableau(tab_rows, dens, basis, ncols)
     art_set = frozenset(art_cols)
+    counts = {"rows": len(rows), "columns": ncols}
 
     if art_cols:
-        cost1 = [_Z] * ncols
+        cost1 = [0] * ncols
         for c in art_cols:
-            cost1[c] = _ONE
+            cost1[c] = 1
         status = tab.run(cost1, frozenset())
         if status != OPTIMAL:
             raise AssertionError("phase 1 cannot be unbounded")
-        if sum((cb * row[-1] for row, cb in tab.priced(cost1)), _Z) > 0:
-            return LpSolution(status=INFEASIBLE)
+        counts["phase1_pivots"] = tab.pivots
+        _, priced = tab.priced(cost1)
+        if sum(w * row[-1] for row, w in priced) > 0:
+            return LpSolution(status=INFEASIBLE, **counts)
         _drive_out_artificials(tab, art_set)
+        counts["driveout_pivots"] = tab.pivots - counts["phase1_pivots"]
 
-    sense_factor = _ONE if p.sense == "min" else -_ONE
-    cost2 = [c * sense_factor for c in cost_user] + [_Z] * (ncols - n)
+    # phase 2 prices with integer costs: the user's costs times the lcm of
+    # their denominators, negated for a maximum
+    unit = lcm(*[c.denominator for c in cost_user])
+    if p.sense == "max":
+        unit = -unit
+    cost2 = [c.numerator * (unit // c.denominator) for c in cost_user] + [0] * (ncols - n)
+    before = tab.pivots
     status = tab.run(cost2, art_set)
+    counts["phase2_pivots"] = tab.pivots - before
     if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED)
+        return LpSolution(status=UNBOUNDED, **counts)
 
     point = [_Z] * n
     for i, b in enumerate(tab.basis):
         if b < n:
-            point[b] = tab.rows[i][-1]
+            point[b] = Fraction(tab.rows[i][-1], tab.dens[i])
     values = dict(zip(p.variables, point))
     objective = sum((c * x for c, x in zip(cost_user, point)), _Z)
 
-    priced = tab.priced(cost2)
-    duals = tuple([_user_dual(cost2, priced, row, p.sense) for row in rows])
+    # a row's dual is minus the reduced cost of its artificial column (else its
+    # slack column), in the user's sense and for the row as the user wrote it;
+    # a redundant row, whose basic variable stays artificial, reads it the same way
+    scale, priced = tab.priced(cost2)
+    duals = []
+    for row in rows:
+        cbar = _scaled_reduced_cost(cost2, scale, priced, row.art_col if row.art_col >= 0 else row.slack_col)
+        duals.append(Fraction(cbar if row.flipped else -cbar, scale * unit))
     basis_set = set(tab.basis)
     defining_rows = frozenset(
-        i
-        for i, row in enumerate(rows)
-        if tab.basis[i] not in art_set and (row.rel == EQ or row.slack_col not in basis_set)
+        i for i, row in enumerate(rows) if row.slack_col not in basis_set and row.art_col not in basis_set
     )
     return LpSolution(
         status=OPTIMAL,
         values=values,
         objective=objective,
-        duals=duals,
+        duals=tuple(duals),
         defining_rows=defining_rows,
+        **counts,
     )
 
 
@@ -291,17 +347,6 @@ def _drive_out_artificials(tab: _Tableau, art_set: frozenset[int]) -> None:
                     break
             if target >= 0:
                 tab.pivot(i, target)
-
-
-def _user_dual(costs: list[Fraction], priced: _Priced, row: _Row, sense: str) -> Fraction:
-    # a redundant row, whose basic variable stays artificial, reads its dual the same way
-    col = row.art_col if row.art_col >= 0 else row.slack_col
-    y = -_reduced_cost(costs, priced, col)
-    if row.flipped:
-        y = -y
-    if sense == "max":
-        y = -y
-    return y
 
 
 def _lhs(con: Constraint, point: Mapping[str, Fraction]) -> Fraction:

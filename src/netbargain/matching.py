@@ -139,11 +139,6 @@ def matching_number(g: Graph) -> int:
     return max_matching(g).size
 
 
-def inessential_vertices(g: Graph) -> tuple[str, ...]:
-    """Vertices exposed by at least one maximum matching."""
-    return max_matching(g).inessential
-
-
 def fractional_matching(g: Graph) -> dict[Edge, Fraction]:
     """A maximum fractional matching, half-integral as Balinski shows.
 
@@ -198,6 +193,9 @@ def _stable_allocation(g: Graph, nu: int) -> dict[str, Fraction] | None:
     sol = exactlp.solve(lp)
     if sol.status != exactlp.OPTIMAL:
         return None
+    bad = exactlp.check_certificates(lp, sol)
+    if bad:
+        raise InternalInvariantError(f"stable allocation not certified: {'; '.join(bad)}")
     return {v: sol.values[f"x {v}"] for v in g.vertices}
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force ground truth and instance generators.
 
 The yes/no answers share no algorithmic code with the main pipeline, so they
-can serve as test oracles: matchings come from exhaustive branching or a local
-two-copy graph, blocking sets from subset enumeration.  Only `_cover_witness`
-(an `exactlp` solve) and `gen_sparse` (`compute_sparsity`) call into the pipeline.
+can serve as test oracles: fractional covers come from a Hopcroft-Karp
+matching of a local two-copy graph, blocking sets from subset enumeration.
+Only `_cover_witness` (an `exactlp` solve) and `gen_sparse`
+(`compute_sparsity`) call into the pipeline.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import exactlp
 from .errors import InputError, PreconditionError
 from .graphcore import Edge, Graph, compute_sparsity, edge_key
-
-_Z = Fraction(0)
 
 #: size caps, checked before anything is built: gen_gap makes 2n^2
 #: protected edges, gen_sparse draws from all n(n-1)/2 vertex pairs, and
@@ -47,20 +46,6 @@ class GapInstance:
     e1: tuple[Edge, ...]
     e2: tuple[Edge, ...]
     nu: int
-
-    def fractional_solution(self) -> tuple[dict[str, Fraction], dict[Edge, Fraction]]:
-        """The hand-built fractional point of value exactly 8."""
-        alpha = Fraction(self.n - 1, self.n)
-        x: dict[str, Fraction] = {}
-        for v in self.graph.vertices:
-            if v.startswith("x"):
-                x[v] = 1 - alpha
-            elif v.startswith("y"):
-                x[v] = alpha
-            else:
-                x[v] = _Z
-        z = {e: Fraction(1, self.n) for e in self.e1}
-        return x, z
 
 
 def gen_gap(n: int) -> GapInstance:
@@ -120,69 +105,63 @@ def gen_sparse(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive matchings
-
-
-def brute_max_matching(g: Graph) -> int:
-    """Exact matching number by branch-and-memo over the edge list."""
-    if g.m > 22:
-        raise PreconditionError("exhaustive matching limited to 22 edges")
-    edges = list(g.edges)
-    memo: dict[tuple[int, frozenset[str]], int] = {}
-
-    def best(i: int, used: frozenset[str]) -> int:
-        if i >= len(edges):
-            return 0
-        key = (i, used)
-        if key in memo:
-            return memo[key]
-        u, v = edges[i]
-        res = best(i + 1, used)
-        if u not in used and v not in used:
-            res = max(res, 1 + best(i + 1, used | {u, v}))
-        memo[key] = res
-        return res
-
-    return best(0, frozenset())
-
-
-# ---------------------------------------------------------------------------
 # blocking sets by enumeration
 
 
 def _augmenting_matching(adj: dict[str, list[str]], left: list[str]) -> int:
-    """Simple alternating-path maximum matching on a bipartite adjacency.
+    """Maximum matching size of a bipartite adjacency, by Hopcroft-Karp.
 
-    Each left vertex starts a depth-first search for an augmenting path,
-    kept on an explicit stack so that no path length meets the recursion
-    limit.
+    Each phase layers the left vertices by a breadth-first search from the
+    exposed ones, up to the length of a shortest augmenting path, then
+    augments along vertex-disjoint shortest paths.  Their depth-first
+    searches keep the path on an explicit stack, so that no path length
+    meets the recursion limit.  O(m sqrt(n)) in all.
     """
-    mate: dict[str, str] = {}
-    size = 0
-    for root in left:
-        seen: set[str] = set()
-        # stack[i] is a left vertex and its untried neighbours; path[i] the
-        # right vertex taken from it, matched to stack[i + 1]
-        stack = [(root, iter(adj[root]))]
-        path: list[str] = []
-        while stack:
-            for w in stack[-1][1]:
-                if w not in seen:
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen.add(w)
-            path.append(w)
-            if w not in mate:
-                for (u, _), right in zip(stack, path):
-                    mate[right] = u
-                size += 1
+    mate_l: dict[str, str] = {}
+    mate_r: dict[str, str] = {}
+    while True:
+        roots = [u for u in left if u not in mate_l]
+        layer = dict.fromkeys(roots, 0)
+        queue = list(roots)
+        last = -1  # the layer whose vertices see an exposed right vertex
+        for u in queue:
+            d = layer[u]
+            if last >= 0 and d > last:
                 break
-            stack.append((mate[w], iter(adj[mate[w]])))
-    return size
+            for w in adj[u]:
+                x = mate_r.get(w)
+                if x is None:
+                    last = d
+                elif last < 0 and x not in layer:
+                    layer[x] = d + 1
+                    queue.append(x)
+        if last < 0:
+            return len(mate_l)
+        for root in roots:
+            # stack[i] is a left vertex and its untried neighbours; path[i] the
+            # right vertex taken from it, matched to stack[i + 1]
+            stack = [(root, iter(adj[root]))]
+            path: list[str] = []
+            while stack:
+                u, untried = stack[-1]
+                d = layer[u]
+                for w in untried:
+                    x = mate_r.get(w)
+                    if (d == last) if x is None else (d < last and layer.get(x) == d + 1):
+                        break
+                else:
+                    layer[u] = -1  # no shortest path through u in this phase
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(w)
+                if x is None:
+                    for (v, _), r in zip(stack, path):
+                        mate_l[v] = r
+                        mate_r[r] = v
+                    break
+                stack.append((x, iter(adj[x])))
 
 
 def fractional_cover_value(vertices: Iterable[str], edges: Iterable[Edge]) -> Fraction:
@@ -262,53 +241,3 @@ def brute_min_blocking_set(
                 witness = _cover_witness(g, set(combo), nu)
                 return BruteForceResult(True, combo, witness, checked)
     return BruteForceResult(False, None, None, checked)
-
-
-# ---------------------------------------------------------------------------
-# outcome verification
-
-
-def verify_outcome(gprime: Graph, nu: int, outcome) -> list[str]:
-    """Re-check a claimed balanced outcome from first principles.
-
-    `outcome` only needs `.matching` and `.allocation` attributes.
-    Validates the matching, the budget, per-edge coverage, and the
-    outside-option balance on every matching edge; alternatives are
-    recomputed here rather than trusted.  Returns violation messages.
-    """
-    out: list[str] = []
-    m_edges = sorted(edge_key(*e) for e in outcome.matching)
-    x = {v: Fraction(outcome.allocation.get(v, 0)) for v in gprime.vertices}
-
-    seen: set[str] = set()
-    for u, v in m_edges:
-        if (u, v) not in gprime.edge_set:
-            out.append(f"matching edge {u}-{v} not in residual graph")
-        if u in seen or v in seen:
-            out.append(f"matching reuses an endpoint of {u}-{v}")
-        seen.update((u, v))
-    if gprime.m <= 22 and len(m_edges) != brute_max_matching(gprime):
-        out.append("matching is not maximum")
-
-    total = sum(x.values(), _Z)
-    if total > nu:
-        out.append(f"allocation total {total} exceeds {nu}")
-    if any(val < 0 for val in x.values()):
-        out.append("allocation has negative entries")
-    for u, v in gprime.edges:
-        if x[u] + x[v] < 1:
-            out.append(f"uncovered edge {u}-{v}")
-
-    matched_with = {}
-    for u, v in m_edges:
-        matched_with[u] = v
-        matched_with[v] = u
-
-    def alternative(v: str) -> Fraction:
-        opts = [1 - x[w] for w in gprime.neighbors(v) if matched_with.get(v) != w]
-        return max(opts) if opts else _Z
-
-    for u, v in m_edges:
-        if x[u] - alternative(u) != x[v] - alternative(v):
-            out.append(f"unbalanced matching edge {u}-{v}")
-    return out

@@ -1,14 +1,39 @@
-"""Definitional oracles for the core diagnosis in `matching`.
+"""Definitional oracles for `matching`.
 
-Each one computes its quantity straight from the definition, the slow
-way the solver once did: the inessential set by deleting every vertex in
-turn, the fractional matching number by solving its LP.
+Each one computes its quantity straight from the definition: the matching
+number by exhaustive branching, and, the slow way the solver once did,
+the inessential set by deleting every vertex in turn and the fractional
+matching number by solving its LP.
 """
 
 from fractions import Fraction
 
 from netbargain import exactlp, matching
+from netbargain.errors import PreconditionError
 from netbargain.graphcore import Graph
+
+
+def brute_max_matching(g: Graph) -> int:
+    """Exact matching number by branch-and-memo over the edge list."""
+    if g.m > 22:
+        raise PreconditionError("exhaustive matching limited to 22 edges")
+    edges = list(g.edges)
+    memo: dict[tuple[int, frozenset[str]], int] = {}
+
+    def best(i: int, used: frozenset[str]) -> int:
+        if i >= len(edges):
+            return 0
+        key = (i, used)
+        if key in memo:
+            return memo[key]
+        u, v = edges[i]
+        res = best(i + 1, used)
+        if u not in used and v not in used:
+            res = max(res, 1 + best(i + 1, used | {u, v}))
+        memo[key] = res
+        return res
+
+    return best(0, frozenset())
 
 
 def inessential_by_deletion(g: Graph) -> tuple[str, ...]:

@@ -16,7 +16,7 @@ from netbargain import bargain, blockset, cli, matching, oracle
 from netbargain.graphcore import Graph, compute_sparsity
 
 import corpus
-from relaxation import relaxation_value
+from relaxation import gap_fractional_solution, relaxation_value
 
 F = Fraction
 N_SEEDS = 200
@@ -99,7 +99,7 @@ def test_criterion_2_gap_fractional_value():
     for n in (1, 2, 3):
         gap = oracle.gen_gap(n)
         inst = blockset.GbsInstance(gap.graph, gap.e1, gap.e2, gap.nu)
-        x, z = gap.fractional_solution()
+        x, z = gap_fractional_solution(gap)
         for u, v in gap.e1:
             assert x[u] + x[v] + z[(u, v)] >= 1
         for u, v in gap.e2:

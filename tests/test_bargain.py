@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from netbargain import bargain, blockset, matching, oracle
-from netbargain.errors import InputError, PreconditionError
+from netbargain.errors import InputError, InternalInvariantError, PreconditionError
 from netbargain.graphcore import Graph
 
 import corpus
+from outcomecheck import verify_outcome
 
 F = Fraction
 
@@ -210,7 +211,7 @@ def test_balanced_outcome_k3_passes_independent_verifier():
     result = blockset.stabilize(g)
     out = bargain.balanced_outcome(g, result, matching.matching_number(g))
     gprime = g.without_edges(result.blocking_set)
-    assert oracle.verify_outcome(gprime, matching.matching_number(g), out) == []
+    assert verify_outcome(gprime, matching.matching_number(g), out) == []
 
 
 def test_balanced_outcome_tops_up_to_matching_number():
@@ -220,7 +221,7 @@ def test_balanced_outcome_tops_up_to_matching_number():
     out = bargain.balanced_outcome(gap.graph, result, matching.matching_number(gap.graph))
     assert sum(out.allocation.values(), F(0)) == matching.matching_number(gap.graph)
     gprime = gap.graph.without_edges(result.blocking_set)
-    assert oracle.verify_outcome(gprime, matching.matching_number(gap.graph), out) == []
+    assert verify_outcome(gprime, matching.matching_number(gap.graph), out) == []
 
 
 def test_balanced_outcome_rejects_allocation_above_matching_number():
@@ -239,7 +240,7 @@ def test_outcomes_verify_on_random_corpus():
         result = blockset.stabilize(g)
         out = bargain.balanced_outcome(g, result, matching.matching_number(g))
         gprime = g.without_edges(result.blocking_set)
-        assert oracle.verify_outcome(gprime, matching.matching_number(g), out) == [], seed
+        assert verify_outcome(gprime, matching.matching_number(g), out) == [], seed
 
 
 def test_trace_line_format():
@@ -251,3 +252,9 @@ def test_trace_line_format():
     pat = re.compile(r"^round=\d+ s=-?\d+/\d+ \|S\|=\d+ \|I\|=\d+ shifts=\d+$")
     for line in run.trace:
         assert pat.match(line), line
+
+
+def test_acceleration_answer_is_certified(tampered_duals):
+    g = corpus.single_edge()
+    with pytest.raises(InternalInvariantError, match="acceleration LP not certified"):
+        bargain._prekernel_run(g, {"u": F(1), "v": F(0)})

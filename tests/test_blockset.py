@@ -446,3 +446,9 @@ def test_tampered_host_dual_breaks_the_averaged_certificate(monkeypatch):
     monkeypatch.setattr(blockset, "solve_gbs_lp", tampering)
     with pytest.raises(InternalInvariantError, match="averaged host root"):
         blockset.stabilize(corpus.k3())
+
+
+def test_relaxation_answer_is_certified(tampered_duals):
+    _, inst = gap_instance(1)
+    with pytest.raises(InternalInvariantError, match="relaxation solution not certified"):
+        blockset.solve_gbs_lp(inst)

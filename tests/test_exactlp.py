@@ -1,7 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netbargain import exactlp
@@ -54,8 +55,6 @@ def test_perturbed_solution_flagged():
     s = exactlp.solve(lp)
     bad_values = dict(s.values)
     bad_values["y a b"] += Fraction(1, 1000)
-    from dataclasses import replace
-
     perturbed = replace(s, values=bad_values)
     assert exactlp.check_certificates(lp, perturbed) != []
 
@@ -112,9 +111,9 @@ def test_redundant_equalities_dropped():
     assert exactlp.check_certificates(lp, s) == []
 
 
-def test_duals_of_a_row_dropped_after_phase_1():
+def _redundant_row_lp():
     # 2*x0 + x1 = 8 follows from x0 = 3 and x1 = 2, so phase 1 drops one of the
-    # three equalities; the dropped row's dual still counts in the dual objective
+    # three equalities
     lp = exactlp.LpProblem("dead", "min", ["x0", "x1"])
     lp.set_objective({"x0": -1})
     lp.add_constraint({"x0": 1}, exactlp.EQ, 3)
@@ -122,12 +121,40 @@ def test_duals_of_a_row_dropped_after_phase_1():
     lp.add_constraint({"x1": 1}, exactlp.EQ, 2)
     lp.add_constraint({"x0": 1}, exactlp.LE, 4)
     lp.add_constraint({"x1": 1}, exactlp.LE, 4)
+    return lp
+
+
+def test_duals_of_a_row_dropped_after_phase_1():
+    # the dropped row's dual still counts in the dual objective
+    lp = _redundant_row_lp()
     s = exactlp.solve(lp)
     assert s.objective == -3
     assert s.duals == (0, Fraction(-1, 2), Fraction(1, 2), 0, 0)
-    # the redundant row stays in the tableau but not in the defining system
-    assert s.defining_rows == {0, 1}
+    # phase 1 leaves x0 = 3's artificial basic: that row stays in the tableau
+    # but not in the defining system, which x1 = 2 completes to rank 2
+    assert s.defining_rows == {1, 2}
     assert exactlp.check_certificates(lp, s) == []
+
+
+def test_solution_reports_size_and_pivots():
+    s = exactlp.solve(_redundant_row_lp())
+    # 2 variables, 2 slacks and 3 artificials
+    assert (s.rows, s.columns) == (5, 7)
+    assert (s.phase1_pivots, s.driveout_pivots, s.phase2_pivots) == (3, 0, 0)
+    # the counts take no part in equality
+    assert s == replace(s, phase1_pivots=0, rows=0)
+
+
+def test_drive_out_pivots_are_counted_apart():
+    # the vacuous row 0 >= 0 starts feasible with its artificial basic at 0, so
+    # phase 1 makes no pivot and the drive-out pivots the surplus in
+    lp = exactlp.LpProblem("drive", "max", ["x0", "x1"])
+    lp.set_objective({"x1": 1})
+    lp.add_constraint({}, exactlp.GE, 0)
+    lp.add_constraint({"x1": 1}, exactlp.LE, 1)
+    s = exactlp.solve(lp)
+    assert s.values == {"x0": 0, "x1": 1}
+    assert (s.phase1_pivots, s.driveout_pivots, s.phase2_pivots) == (0, 1, 1)
 
 
 def test_determinism():
@@ -244,7 +271,21 @@ def lps_with_a_dependent_row(draw):
     return lp
 
 
+def _dependent_rows_example():
+    # phase 1 leaves the second equality's artificial basic in the tableau row of
+    # v2 <= 1, whose slack is nonbasic, so the defining rows cannot be read off
+    # tableau positions: rows 0-2 have rank 2 at the point (1, 1, 1)
+    lp = exactlp.LpProblem("dep", "min", ["v0", "v1", "v2"])
+    lp.add_constraint({"v1": -1, "v2": -1}, exactlp.EQ, -2)
+    lp.add_constraint({"v0": -1, "v2": Fraction(1, 2)}, exactlp.EQ, Fraction(-1, 2))
+    lp.add_constraint({"v0": Fraction(-1, 2), "v2": Fraction(1, 4)}, exactlp.EQ, Fraction(-1, 4))
+    for v in ("v0", "v1", "v2"):
+        lp.add_constraint({v: 1}, exactlp.LE, 1)
+    return lp
+
+
 @given(lps_with_a_dependent_row())
+@example(_dependent_rows_example())
 @settings(max_examples=200, deadline=None)
 def test_certificates_hold_when_phase_1_drops_a_row(lp):
     s = exactlp.solve(lp)

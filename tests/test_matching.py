@@ -21,7 +21,7 @@ def test_max_matching_small_cases():
 
 def test_max_matching_petersen():
     assert matching.max_matching(corpus.petersen()).size == 5
-    assert oracle.brute_max_matching(corpus.petersen()) == 5
+    assert matchbrute.brute_max_matching(corpus.petersen()) == 5
 
 
 def test_matching_is_valid_and_exposed_consistent():
@@ -35,23 +35,23 @@ def test_blossom_agrees_with_brute_force_on_200_seeds():
     for seed in range(200):
         n = 3 + seed % 10  # up to 12 vertices
         g = oracle.gen_sparse(n, 3, seed=seed, n_edges=min(14, n + seed % 4))
-        assert matching.max_matching(g).size == oracle.brute_max_matching(g), seed
+        assert matching.max_matching(g).size == matchbrute.brute_max_matching(g), seed
 
 
 def test_inessential_p3():
-    assert matching.inessential_vertices(corpus.p3()) == ("a", "c")
+    assert matching.max_matching(corpus.p3()).inessential == ("a", "c")
 
 
 def test_inessential_k3_all():
-    assert matching.inessential_vertices(corpus.k3()) == ("a", "b", "c")
+    assert matching.max_matching(corpus.k3()).inessential == ("a", "b", "c")
 
 
 def test_inessential_single_edge_none():
-    assert matching.inessential_vertices(corpus.single_edge()) == ()
+    assert matching.max_matching(corpus.single_edge()).inessential == ()
 
 
 def _assert_diagnosis_matches_oracles(g):
-    assert matching.inessential_vertices(g) == matchbrute.inessential_by_deletion(g)
+    assert matching.max_matching(g).inessential == matchbrute.inessential_by_deletion(g)
     frac = matching.fractional_matching_value(g)
     assert frac == matchbrute.fractional_matching_lp(g)
     assert frac == oracle.fractional_cover_value(g.vertices, g.edges)  # LP duality
@@ -83,7 +83,7 @@ def test_diagnosis_matches_oracles_on_small_graphs(g):
 def test_diagnosis_matches_oracles_on_fixed_graphs(build, inessential, frac):
     g = build()
     _assert_diagnosis_matches_oracles(g)
-    assert matching.inessential_vertices(g) == inessential
+    assert matching.max_matching(g).inessential == inessential
     assert matching.fractional_matching_value(g) == frac
 
 
@@ -194,3 +194,8 @@ def test_overloaded_fractional_matching_is_refused(monkeypatch):
     monkeypatch.setattr(matching, "fractional_matching", lambda g: tampered)
     with pytest.raises(InternalInvariantError, match="overloads a"):
         matching.core_status(corpus.k3())
+
+
+def test_stable_allocation_answer_is_certified(tampered_duals):
+    with pytest.raises(InternalInvariantError, match="stable allocation not certified"):
+        matching.stable_allocation(corpus.p3())

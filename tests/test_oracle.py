@@ -1,13 +1,18 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netbargain import exactlp, oracle
 from netbargain.errors import InputError, PreconditionError
 from netbargain.graphcore import Graph, compute_sparsity
 
 import corpus
+from matchbrute import brute_max_matching
+from outcomecheck import verify_outcome
+from relaxation import gap_fractional_solution
 
 F = Fraction
 
@@ -46,7 +51,7 @@ def test_gap_leaf_ids_encode_owner():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gap_fractional_solution_value_eight(n):
     gap = oracle.gen_gap(n)
-    x, z = gap.fractional_solution()
+    x, z = gap_fractional_solution(gap)
     for u, v in gap.e1:
         assert x[u] + x[v] + z[(u, v)] >= 1
     for u, v in gap.e2:
@@ -79,15 +84,42 @@ def test_gen_sparse_generous_target_always_succeeds():
 
 
 def test_brute_max_matching_values():
-    assert oracle.brute_max_matching(corpus.k3()) == 1
-    assert oracle.brute_max_matching(corpus.c4()) == 2
-    assert oracle.brute_max_matching(corpus.petersen()) == 5
+    assert brute_max_matching(corpus.k3()) == 1
+    assert brute_max_matching(corpus.c4()) == 2
+    assert brute_max_matching(corpus.petersen()) == 5
 
 
 def test_brute_max_matching_size_guard():
     big = Graph.build([(f"a{i}", f"b{i}") for i in range(23)])
     with pytest.raises(PreconditionError):
-        oracle.brute_max_matching(big)
+        brute_max_matching(big)
+
+
+# -- bipartite matching of the two-copy graph ------------------------------------
+
+
+@st.composite
+def bipartite_adjacencies(draw):
+    left = [f"l{i}" for i in range(draw(st.integers(0, 9)))]
+    right = [f"r{i}" for i in range(draw(st.integers(0, 9)))]
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    adj = {}
+    for u in left:
+        keep = draw(st.lists(st.floats(0, 1), min_size=len(right), max_size=len(right)))
+        adj[u] = [w for w, r in zip(right, keep) if r < density]
+    return adj, left
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bipartite_adjacencies())
+def test_augmenting_matching_agrees_with_networkx(case):
+    adj, left = case
+    g = nx.Graph()
+    g.add_nodes_from(left)
+    g.add_edges_from((u, w) for u in left for w in adj[u])
+    # networkx returns each matched pair in both directions
+    want = len(nx.bipartite.maximum_matching(g, top_nodes=left)) // 2
+    assert oracle._augmenting_matching(adj, left) == want
 
 
 # -- blocking set enumeration ------------------------------------------------------
@@ -144,7 +176,7 @@ def test_feasibility_agrees_with_lp_on_random_candidates():
     rng = random.Random(99)
     for seed in range(12):
         g = corpus.corpus_graph(seed)
-        nu = oracle.brute_max_matching(g) if g.m <= 22 else 3
+        nu = brute_max_matching(g) if g.m <= 22 else 3
         for _ in range(8):
             k = rng.randint(0, min(3, g.m))
             blocked = set(rng.sample(list(g.edges), k))
@@ -166,7 +198,7 @@ def test_verify_outcome_p4_balanced():
         (("a", "b"), ("c", "d")),
         {"a": F(1, 3), "b": F(2, 3), "c": F(2, 3), "d": F(1, 3)},
     )
-    assert oracle.verify_outcome(g, 2, out) == []
+    assert verify_outcome(g, 2, out) == []
 
 
 def test_verify_outcome_p4_unbalanced_integral_point():
@@ -175,22 +207,22 @@ def test_verify_outcome_p4_unbalanced_integral_point():
         (("a", "b"), ("c", "d")),
         {"a": F(0), "b": F(1), "c": F(1), "d": F(0)},
     )
-    violations = oracle.verify_outcome(g, 2, out)
+    violations = verify_outcome(g, 2, out)
     assert len([v for v in violations if "unbalanced" in v]) == 2
 
 
 def test_verify_outcome_path_core_point():
     g = corpus.p3()
     out = _outcome((("a", "b"),), {"a": F(0), "b": F(1), "c": F(0)})
-    assert oracle.verify_outcome(g, 1, out) == []
+    assert verify_outcome(g, 1, out) == []
 
 
 def test_verify_outcome_flags_budget_and_cover():
     g = corpus.p3()
     out = _outcome((("a", "b"),), {"a": F(2), "b": F(1), "c": F(0)})
-    violations = oracle.verify_outcome(g, 1, out)
+    violations = verify_outcome(g, 1, out)
     assert any("exceeds" in v for v in violations)
     out2 = _outcome((("a", "b"),), {"a": F(0), "b": F(0), "c": F(0)})
-    violations2 = oracle.verify_outcome(g, 1, out2)
+    violations2 = verify_outcome(g, 1, out2)
     assert any("uncovered" in v for v in violations2)
-    assert any("not maximum" in v for v in oracle.verify_outcome(g, 1, _outcome((), {"b": F(1)})))
+    assert any("not maximum" in v for v in verify_outcome(g, 1, _outcome((), {"b": F(1)})))
