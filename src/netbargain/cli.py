@@ -296,9 +296,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: one parser for every call of `main`: `parse_args` returns a fresh namespace,
+#: and the parser keeps nothing of a call.  It is built on the first call rather
+#: than at import, so a module that is imported and never run holds no parser.
+_PARSER: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _PARSER
     try:
-        args = build_parser().parse_args(argv)  # the parser is cyclic garbage; hold it no longer
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

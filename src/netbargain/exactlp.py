@@ -12,7 +12,9 @@ rows that define the returned vertex, and the tableau's size and pivot
 counts.  Every row stays in the tableau for the whole solve; a
 redundant one keeps an artificial basic at 0 and is left out of the
 defining rows.  `violations` checks any point against an LP's rows and
-nonnegativity.
+nonnegativity, and `check_certificates` proves an optimal answer by its
+duals.  Both work in exact integer arithmetic and build a `Fraction`
+only to word a finding and to compare the duality gap.
 
 Pivoting uses Bland's rule over the canonical variable order, which
 guarantees termination and makes every solve deterministic.
@@ -349,8 +351,32 @@ def _drive_out_artificials(tab: _Tableau, art_set: frozenset[int]) -> None:
                 tab.pivot(i, target)
 
 
-def _lhs(con: Constraint, point: Mapping[str, Fraction]) -> Fraction:
-    return sum((c * point[v] for v, c in con.coeffs.items()), _Z)
+def _row_pass(p: LpProblem, point: Mapping[str, Fraction]) -> tuple[list[str], list[int] | None, list[bool]]:
+    """One integer pass over each row: the findings of `violations`, each
+    row's denominator, and whether `point` makes the row tight.
+
+    With the point over the lcm D of its denominators and row i over the
+    lcm den_i of its own, den_i * D times each side of the row is an int.
+    The denominators are None when a value is missing.
+    """
+    missing = [v for v in p.variables if v not in point]
+    if missing:
+        return [f"missing value for {v}" for v in missing], None, []
+    xs = [point[v] for v in p.variables]
+    d = lcm(*[x.denominator for x in xs])
+    scaled = {v: x.numerator * (d // x.denominator) for v, x in zip(p.variables, xs)}
+    out = [f"{v} negative: {point[v]}" for v, x in scaled.items() if x < 0]
+    dens, tight = [], []
+    for i, con in enumerate(p.constraints):
+        den = lcm(con.rhs.denominator, *[c.denominator for c in con.coeffs.values()])
+        lhs = sum([c.numerator * (den // c.denominator) * scaled[v] for v, c in con.coeffs.items()])
+        rhs = con.rhs.numerator * (den // con.rhs.denominator) * d
+        ok = lhs <= rhs if con.rel == LE else lhs >= rhs if con.rel == GE else lhs == rhs
+        if not ok:
+            out.append(f"constraint {i} ({con.name or con.rel}) violated: {Fraction(lhs, den * d)} vs {con.rhs}")
+        dens.append(den)
+        tight.append(lhs == rhs)
+    return out, dens, tight
 
 
 def violations(p: LpProblem, point: Mapping[str, Fraction]) -> list[str]:
@@ -359,59 +385,64 @@ def violations(p: LpProblem, point: Mapping[str, Fraction]) -> list[str]:
     Checks that each variable has a value, then nonnegativity, then
     every row in construction order.  An empty list means feasible.
     """
-    missing = [v for v in p.variables if v not in point]
-    if missing:
-        return [f"missing value for {v}" for v in missing]
-    out = [f"{v} negative: {point[v]}" for v in p.variables if point[v] < 0]
-    for i, con in enumerate(p.constraints):
-        lhs = _lhs(con, point)
-        ok = lhs <= con.rhs if con.rel == LE else lhs >= con.rhs if con.rel == GE else lhs == con.rhs
-        if not ok:
-            out.append(f"constraint {i} ({con.name or con.rel}) violated: {lhs} vs {con.rhs}")
-    return out
+    return _row_pass(p, point)[0]
 
 
 def check_certificates(p: LpProblem, s: LpSolution) -> list[str]:
     """Exact verification of feasibility, strong duality, and complementary slackness.
 
     Returns the list of violated conditions; an optimal solve must yield
-    an empty list.
+    an empty list.  The sums and signs are taken in `int`s; a `Fraction`
+    is built only to word a finding and for the duality-gap comparison.
     """
     if s.status != OPTIMAL:
         raise PreconditionError("check_certificates requires an optimal solution")
     vals = s.values
-    out = violations(p, vals)
-    if any(v not in vals for v in p.variables):
+    out, dens, tight = _row_pass(p, vals)
+    if dens is None:
         return out
     if len(s.duals) != len(p.constraints):
         out.append("dual vector length mismatch")
         return out
 
     is_min = p.sense == "min"
-    # y^T A accumulated in one pass over each row's nonzero coefficients
-    ya = dict.fromkeys(p.variables, _Z)
-    for i, (con, y) in enumerate(zip(p.constraints, s.duals)):
-        if con.rel == LE and ((is_min and y > 0) or (not is_min and y < 0)):
+    # the duals over their lcm E and row i weighted by L / den_i, L the lcm of
+    # the rows' denominators: y^T A and the dual objective are ints over E * L,
+    # accumulated in one pass over each row's nonzero coefficients
+    e = lcm(*[y.denominator for y in s.duals])
+    big = lcm(*dens)
+    ya = dict.fromkeys(p.variables, 0)
+    dual_obj = 0
+    for i, (con, y, den, is_tight) in enumerate(zip(p.constraints, s.duals, dens, tight)):
+        w = y.numerator * (e // y.denominator)
+        if con.rel == LE and (w > 0 if is_min else w < 0):
             out.append(f"dual sign violated on <= row {i}: {y}")
-        if con.rel == GE and ((is_min and y < 0) or (not is_min and y > 0)):
+        if con.rel == GE and (w < 0 if is_min else w > 0):
             out.append(f"dual sign violated on >= row {i}: {y}")
-        if y != 0:
-            if _lhs(con, vals) != con.rhs:
+        if w:
+            if not is_tight:
                 out.append(f"complementary slackness violated on row {i}")
+            w *= big // den
             for v, a in con.coeffs.items():
-                ya[v] += y * a
+                ya[v] += w * a.numerator * (den // a.denominator)
+            dual_obj += w * con.rhs.numerator * (den // con.rhs.denominator)
 
     # every variable's only bound is 0, so reduced costs add nothing to the
-    # dual objective; they must have the sign that keeps the variable there
-    dual_obj = sum((y * con.rhs for y, con in zip(s.duals, p.constraints)), _Z)
+    # dual objective; they must have the sign that keeps the variable there.
+    # With the objective over the lcm k of its denominators, k * E * L times
+    # the reduced cost of v is an int
+    k = lcm(*[c.denominator for c in p.objective.values()])
+    el = e * big
+    cost = {v: c.numerator * (k // c.denominator) * el for v, c in p.objective.items()}
     for v in p.variables:
-        r = p.objective.get(v, _Z) - ya[v]
+        r = cost.get(v, 0) - k * ya[v]
         if not is_min:
             r = -r
         if r > 0 and vals[v] != 0:
             out.append(f"reduced cost of {v} pins it at 0 but it is {vals[v]}")
         if r < 0:
-            out.append(f"dual infeasible at {v}: reduced cost {r} has the wrong sign")
-    if s.objective != dual_obj:
-        out.append(f"duality gap: primal {s.objective} vs dual {dual_obj}")
+            out.append(f"dual infeasible at {v}: reduced cost {Fraction(r, k * el)} has the wrong sign")
+    dual_value = Fraction(dual_obj, el)
+    if s.objective != dual_value:
+        out.append(f"duality gap: primal {s.objective} vs dual {dual_value}")
     return out

@@ -305,6 +305,23 @@ def test_trace_flag_includes_traces(capsys, k3_file):
     assert all(line.startswith("step=") for line in report["traces"]["blockset"])
 
 
+def test_one_parser_keeps_no_state_between_calls(capsys, p4_file):
+    # main parses every call with the same parser: neither a rejected command
+    # line nor a --trace call may leak into the next call's options
+    assert run(capsys, "balance", p4_file, "--no-such-flag")[0] == 1
+    parser = cli._PARSER
+    assert "traces" in json.loads(run(capsys, "balance", p4_file, "--trace")[1])
+    code, out, _ = run(capsys, "balance", p4_file)
+    assert code == 0 and "traces" not in json.loads(out)
+    assert cli._PARSER is parser is not None
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "netbargain.cli", "balance", p4_file],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert fresh.returncode == 0 and fresh.stdout == out
+
+
 def test_parse_error_exit_1(capsys, tmp_path):
     path = write(tmp_path, "bad.txt", "a a\n")
     code, _, err = run(capsys, "analyze", path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netbargain import exactlp
 from netbargain.errors import PreconditionError
 
+import certbrute
 import lpbrute
 
 
@@ -294,3 +295,113 @@ def test_certificates_hold_when_phase_1_drops_a_row(lp):
     assert exactlp.check_certificates(lp, s) == []
     assert all(_is_tight(lp.constraints[i], s) for i in s.defining_rows)
     assert _tight_system_rank(lp, s, s.defining_rows) == len(lp.variables)
+
+
+def _x_equal_to_1(sense):
+    lp = exactlp.LpProblem("pin", sense, ["x"])
+    lp.set_objective({"x": 1})
+    lp.add_constraint({"x": 1}, exactlp.LE, 1)
+    lp.add_constraint({"x": 1}, exactlp.GE, 1)
+    return lp
+
+
+def _claimed(values, objective, duals):
+    return exactlp.LpSolution(exactlp.OPTIMAL, values, Fraction(objective), tuple(map(Fraction, duals)))
+
+
+@pytest.mark.parametrize(
+    "sense, message",
+    [
+        # a minimum wants y <= 0 on a <= row and y >= 0 on a >= row; a maximum the reverse
+        ("min", "dual sign violated on <= row 0: 1/2"),
+        ("max", "dual sign violated on >= row 1: 1/2"),
+    ],
+)
+def test_certificate_dual_of_the_wrong_sign(sense, message):
+    # x = 1 makes both rows tight and the duals 1/2, 1/2 keep the reduced cost of x at 0
+    lp = _x_equal_to_1(sense)
+    assert exactlp.check_certificates(lp, _claimed({"x": Fraction(1)}, 1, ("1/2", "1/2"))) == [message]
+
+
+def test_certificate_broken_complementary_slackness():
+    # the dual 3/2, -1/2 is feasible but charges the slack row x <= 3
+    lp = exactlp.LpProblem("cs", "min", ["x"])
+    lp.set_objective({"x": 1})
+    lp.add_constraint({"x": 1}, exactlp.GE, 1)
+    lp.add_constraint({"x": 1}, exactlp.LE, 3)
+    s = _claimed({"x": Fraction(1)}, 1, ("3/2", "-1/2"))
+    assert exactlp.check_certificates(lp, s) == [
+        "complementary slackness violated on row 1",
+        "duality gap: primal 1 vs dual 0",
+    ]
+
+
+def _cover_xy(cost_y):
+    lp = exactlp.LpProblem("cover", "min", ["x", "y"])
+    lp.set_objective({"x": 1, "y": cost_y})
+    lp.add_constraint({"x": 1, "y": 1}, exactlp.GE, 1, name="cover")
+    return lp
+
+
+def test_certificate_reduced_cost_of_the_wrong_sign():
+    # y costs 0 but the cover row's dual 1 prices it at 1
+    lp = _cover_xy(0)
+    s = _claimed({"x": Fraction(1), "y": Fraction(0)}, 1, (1,))
+    assert exactlp.check_certificates(lp, s) == ["dual infeasible at y: reduced cost -1 has the wrong sign"]
+
+
+def test_certificate_variable_pinned_at_zero_is_nonzero():
+    # y's reduced cost 2 - 1 > 0 holds it at 0, and the half it carries opens a gap
+    lp = _cover_xy(2)
+    s = _claimed({"x": Fraction(1, 2), "y": Fraction(1, 2)}, "3/2", (1,))
+    assert exactlp.check_certificates(lp, s) == [
+        "reduced cost of y pins it at 0 but it is 1/2",
+        "duality gap: primal 3/2 vs dual 1",
+    ]
+
+
+def test_certificate_duality_gap():
+    lp = _cover_xy(2)
+    s = _claimed({"x": Fraction(1), "y": Fraction(0)}, 2, (1,))
+    assert exactlp.check_certificates(lp, s) == ["duality gap: primal 2 vs dual 1"]
+
+
+def test_certificate_dual_length_mismatch():
+    # the row findings come first, then the length ends the check
+    lp = _cover_xy(2)
+    s = _claimed({"x": Fraction(0), "y": Fraction(0)}, 0, ())
+    assert exactlp.check_certificates(lp, s) == [
+        "constraint 0 (cover) violated: 0 vs 1",
+        "dual vector length mismatch",
+    ]
+
+
+_MUTATIONS = ("none", "point", "dual", "dual sign", "objective", "short duals", "missing value")
+
+
+@given(lps_with_a_dependent_row(), st.sampled_from(_MUTATIONS), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_certificates_match_the_fraction_reference(lp, mutation, data):
+    """The integer checks word every finding as the plain `Fraction` ones do,
+    on optimal answers and on answers broken in one of six ways."""
+    s = exactlp.solve(lp)
+    assert s.status == exactlp.OPTIMAL
+    delta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(bool))
+    values, duals, objective = dict(s.values), list(s.duals), s.objective
+    if mutation == "point":
+        v = data.draw(st.sampled_from(lp.variables))
+        values[v] += delta
+    elif mutation == "dual":
+        duals[data.draw(st.integers(0, len(duals) - 1))] += delta
+    elif mutation == "dual sign":
+        i = data.draw(st.integers(0, len(duals) - 1))
+        duals[i] = -duals[i] if duals[i] else delta
+    elif mutation == "objective":
+        objective += delta
+    elif mutation == "short duals":
+        duals.pop()
+    elif mutation == "missing value":
+        del values[data.draw(st.sampled_from(lp.variables))]
+    claimed = replace(s, values=values, duals=tuple(duals), objective=objective)
+    assert exactlp.violations(lp, values) == certbrute.violations(lp, values)
+    assert exactlp.check_certificates(lp, claimed) == certbrute.check_certificates(lp, claimed)
