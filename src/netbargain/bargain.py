@@ -4,7 +4,9 @@ Once a blocking set has been removed, an allocation of the matching
 number that covers every remaining edge can be driven to a state where,
 for every remaining edge ij, the best outside option of i against j
 equals that of j against i.  With a maximum matching this is exactly the
-per-edge Nash split relative to outside options.
+per-edge Nash split relative to outside options.  The best option of i
+against j is 1 - x_i - x_k for the cheapest neighbour k != j of i, so
+every surplus at i is read off i's two cheapest neighbours.
 
 The driver alternates two moves, both exact over rationals:
 
@@ -77,7 +79,7 @@ class SurplusState:
 
 
 def _outside_options(g: Graph, i: str, j: str) -> list[SurplusTerm]:
-    """The outside options of i against j, in neighbour order."""
+    """The outside options of i against j, in neighbour order (the cap rows)."""
     return [SurplusTerm(1, (i, k)) for k in g.neighbors(i) if k != j] or [SurplusTerm(0, (i,))]
 
 
@@ -86,15 +88,15 @@ def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     if set(x) != set(g.vertices):
         raise PreconditionError("allocation must be defined on every vertex")
     xs = {v: Fraction(x[v]) for v in g.vertices}
+    cheapest = {i: sorted(g.neighbors(i), key=lambda k: (xs[k], k))[:2] for i in g.vertices}
     s: dict[Pair, Fraction] = {}
     term: dict[Pair, SurplusTerm] = {}
     for u, v in g.edges:
         for i, j in ((u, v), (v, u)):
-            options = _outside_options(g, i, j)
-            values = [t.value(xs) for t in options]
-            best = max(values)
-            s[(i, j)] = best
-            term[(i, j)] = options[values.index(best)]  # ties: the smallest neighbour
+            k = next((k for k in cheapest[i] if k != j), None)
+            t = SurplusTerm(0, (i,)) if k is None else SurplusTerm(1, (i, k))
+            s[(i, j)] = t.value(xs)
+            term[(i, j)] = t
 
     violated = tuple(
         sorted((p for p in s if s[p] > s[(p[1], p[0])]), key=lambda p: (-s[p], p))
@@ -175,9 +177,10 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
     """Acceleration LP: push all surpluses outside the frozen group down by delta.
 
     Constraint families, in construction order: total conservation;
-    frozen defining-option values; defining-option dominance inside the
-    frozen group; a delta-gap cap on every outside option of every
-    unfrozen pair; unit cover of every edge.  The current allocation
+    frozen defining-option values; for each frozen pair (i, j) with
+    defining option 1 - y_i - y_k*, dominance y_k >= y_k* for every
+    other alternative k of i; a delta-gap cap on every outside option of
+    every unfrozen pair; unit cover of every edge.  The current allocation
     with delta = delta_cap - s_max is feasible by construction (asserted).
     """
     g = st.graph
@@ -202,18 +205,13 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
             name=f"freeze {' '.join(t.members)}",
         )
     for i, j in frozen:
-        t = st.term[(i, j)]
-        # value(term) >= 1 - y(e) for every alternative edge e at i
+        # a frozen term is an edge term (1, (i, k*)) whenever i has another k
+        best = st.term[(i, j)].members[-1]
         for k in g.neighbors(i):
-            if k == j:
-                continue
-            coeffs: dict[str, Fraction] = {}
-            for m in t.members:
-                coeffs[_var(m)] = coeffs.get(_var(m), _Z) - 1
-            for m in (i, k):
-                coeffs[_var(m)] = coeffs.get(_var(m), _Z) + 1
-            coeffs = {k2: c for k2, c in coeffs.items() if c}
-            lp.add_constraint(coeffs, exactlp.GE, 1 - t.constant, name=f"dominate {i} {j} {k}")
+            if k not in (j, best):
+                lp.add_constraint(
+                    {_var(k): 1, _var(best): -1}, exactlp.GE, 0, name=f"dominate {i} {j} {k}"
+                )
 
     seen_caps: set[tuple] = set()
     for u, v in g.edges:

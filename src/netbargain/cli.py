@@ -23,6 +23,7 @@ from .graphcore import (
     compute_sparsity,
     edge_list_text,
     graph_from_json_obj,
+    json_pairs,
     parse_edge_list,
     to_dot,
 )
@@ -44,15 +45,6 @@ def parse_rational(text: str) -> Fraction:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         raise InputError(message)
-
-
-def _edge_pairs(obj: dict, key: str) -> tuple[tuple[str, str], ...]:
-    items = obj[key]
-    if not isinstance(items, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in items
-    ):
-        raise InputError(f"'{key}' must be a list of vertex-name pairs")
-    return tuple([(u, v) for u, v in items])
 
 
 def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
@@ -84,7 +76,7 @@ def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
             if not isinstance(obj["nu"], int) or isinstance(obj["nu"], bool):
                 raise InputError("'nu' must be an integer")
             try:
-                e1, e2 = _edge_pairs(obj, "e1"), _edge_pairs(obj, "e2")
+                e1, e2 = json_pairs(obj, "e1"), json_pairs(obj, "e2")
                 inst = blockset.GbsInstance(g, e1, e2, obj["nu"])
             except PreconditionError as exc:
                 raise InputError(f"bad instance JSON: {exc}") from None

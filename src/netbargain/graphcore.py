@@ -137,21 +137,23 @@ def edge_list_text(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
+def json_pairs(obj: dict, key: str) -> tuple[tuple[str, str], ...]:
+    """The list of vertex-name pairs under `key` of a JSON object."""
+    items = obj[key]
+    if not isinstance(items, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in items
+    ):
+        raise InputError(f"'{key}' must be a list of vertex-name pairs")
+    return tuple([(u, v) for u, v in items])
+
+
 def graph_from_json_obj(obj: object) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InputError("graph JSON must be an object with 'vertices' and 'edges'")
     vertices = obj["vertices"]
-    edges = obj["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InputError("'vertices' must be a list of strings")
-    if not isinstance(edges, list):
-        raise InputError("'edges' must be a list of pairs")
-    pairs = []
-    for item in edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
-            raise InputError(f"bad edge entry {item!r}")
-        pairs.append((item[0], item[1]))
-    return Graph.build(pairs, vertices)
+    return Graph.build(json_pairs(obj, "edges"), vertices)
 
 
 def to_dot(g: Graph, dashed_edges: Iterable[Edge] = (), name: str = "G") -> str:

@@ -26,6 +26,8 @@ from .graphcore import Edge, Graph, compute_sparsity, edge_key
 MAX_GAP_N = 100
 MAX_SPARSE_N = 1000
 MAX_ENUMERATED_SETS = 2**20
+#: edge sets gen_sparse draws before it gives up on the sparsity target
+SPARSE_TRIES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,6 @@ def gen_sparse(
     omega_target: Fraction | int,
     seed: int,
     n_edges: int | None = None,
-    max_tries: int = 200,
 ) -> Graph:
     """Random graph with certified sparsity at most omega_target.
 
@@ -94,13 +95,13 @@ def gen_sparse(
     pool = [edge_key(a, b) for a, b in combinations(names, 2)]
     want = min(len(pool), int(target * n)) if n_edges is None else min(n_edges, len(pool))
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(SPARSE_TRIES):
         edges = rng.sample(pool, want)
         g = Graph.build(edges, names)
         if compute_sparsity(g).omega <= target:
             return g
     raise InputError(
-        f"could not sample a graph with sparsity <= {target} in {max_tries} tries"
+        f"could not sample a graph with sparsity <= {target} in {SPARSE_TRIES} tries"
     )
 
 

@@ -1,5 +1,7 @@
 """Shared fixture graphs and the seeded random corpus used across suites."""
 
+import random
+
 from netbargain.graphcore import Graph
 from netbargain.oracle import gen_sparse
 
@@ -51,3 +53,9 @@ def corpus_graph(seed: int) -> Graph:
     n = 4 + (seed % 11)
     m_target = min(18, n + 2 + (seed % 5))
     return gen_sparse(n, 3, seed=seed, n_edges=m_target)
+
+
+def random_tree(seed: int, n: int) -> Graph:
+    """Seeded random tree on t0..t{n-1}: each ti hangs below a random earlier vertex."""
+    rng = random.Random(seed)
+    return Graph.build([(f"t{i}", f"t{rng.randrange(i)}") for i in range(1, n)])

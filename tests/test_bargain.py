@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from netbargain import bargain, blockset, matching, oracle
 from netbargain.errors import InputError, InternalInvariantError, PreconditionError
 from netbargain.graphcore import Graph
 
 import corpus
+import surplusbrute
 from outcomecheck import verify_outcome
 
 F = Fraction
@@ -58,6 +61,36 @@ def test_surplus_defining_term_prefers_smallest_neighbour():
 def test_surpluses_requires_full_allocation():
     with pytest.raises(PreconditionError):
         bargain.surpluses(corpus.p3(), {"a": F(0)})
+
+
+# a few small shares, so that neighbours often tie on the cheapest one
+_SHARES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
+
+
+@hst.composite
+def graphs_with_allocations(draw):
+    """A star, a tree or any graph on 2-10 vertices, with shuffled names."""
+    n = draw(hst.integers(min_value=2, max_value=10))
+    names = draw(hst.permutations([f"v{i}" for i in range(n)]))
+    shape = draw(hst.sampled_from(["star", "tree", "any"]))
+    if shape == "star":
+        edges = [(names[0], w) for w in names[1:]]
+    elif shape == "tree":
+        edges = [(names[i], names[draw(hst.integers(0, i - 1))]) for i in range(1, n)]
+    else:
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        edges = draw(hst.lists(hst.sampled_from(pairs), min_size=1, unique=True))
+    return Graph.build(edges, names), {v: draw(hst.sampled_from(_SHARES)) for v in names}
+
+
+@given(graphs_with_allocations())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_surpluses_match_every_option(case):
+    g, x = case
+    got = bargain.surpluses(g, x)
+    s, term = surplusbrute.brute_surpluses(g, x)
+    assert list(got.s.items()) == list(s.items())
+    assert [(p, (t.constant, t.members)) for p, t in got.term.items()] == list(term.items())
 
 
 # -- local transfers ----------------------------------------------------------
@@ -122,6 +155,23 @@ def test_delta_lp_p4_prekernel_point_is_optimal():
 
     sol = exactlp.solve(lp)
     assert sol.objective == 0  # the balanced point leaves no slack to push
+
+
+def test_delta_lp_has_no_empty_row(monkeypatch):
+    built = []
+    build = bargain.build_delta_lp
+
+    def recording(st):
+        built.append(build(st))
+        return built[-1]
+
+    monkeypatch.setattr(bargain, "build_delta_lp", recording)
+    g = corpus.random_tree(10, 12)
+    out = bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
+    assert (len(built), out.lp_solves, out.shifts) == (3, 3, 10)
+    # the dominance rows of a frozen pair skip its own defining neighbour
+    assert sum(c.name.startswith("dominate") for lp in built for c in lp.constraints) == 18
+    assert [c.name for lp in built for c in lp.constraints if not c.coeffs] == []
 
 
 # -- full dynamics ------------------------------------------------------------

@@ -381,7 +381,7 @@ def _instance_file(tmp_path, **overrides):
 @pytest.mark.parametrize(
     "field, value",
     [("e1", 5), ("e1", [5]), ("e1", [["a"]]), ("e1", [["a", 1]]), ("e1", "ab"),
-     ("e2", [["a", "b", "c"]]), ("nu", True)],
+     ("e2", [["a", "b", "c"]]), ("nu", True), ("edges", [5]), ("edges", [["a", 1]])],
 )
 def test_instance_json_bad_field_exit_1(capsys, tmp_path, field, value):
     assert run(capsys, "stabilize", _instance_file(tmp_path))[0] == 0

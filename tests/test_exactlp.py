@@ -238,6 +238,24 @@ def test_random_lps_match_vertex_enumeration(lp):
         assert _tight_system_rank(lp, s) >= len(lp.variables)
 
 
+@given(small_lps(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_an_empty_row_changes_no_answer(lp, data):
+    # the row 0 >= 0 at any position: its surplus column never enters, so
+    # Bland's rule takes the same pivots on every other row
+    at = data.draw(st.integers(min_value=0, max_value=len(lp.constraints)))
+    padded = exactlp.LpProblem(lp.name, lp.sense, lp.variables)
+    padded.set_objective(lp.objective)
+    rows = list(lp.constraints)
+    rows.insert(at, exactlp.Constraint({}, exactlp.GE, Fraction(0), "empty"))
+    for con in rows:
+        padded.add_constraint(con.coeffs, con.rel, con.rhs, con.name)
+    a, b = exactlp.solve(lp), exactlp.solve(padded)
+    assert (b.status, b.values, b.objective) == (a.status, a.values, a.objective)
+    assert (b.phase1_pivots, b.phase2_pivots) == (a.phase1_pivots, a.phase2_pivots)
+    assert b.duals[:at] + b.duals[at + 1:] == a.duals
+
+
 @st.composite
 def lps_with_a_dependent_row(draw):
     """A feasible, boxed LP with fractional coefficients, right-hand sides of

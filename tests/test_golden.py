@@ -10,7 +10,6 @@ its counters: together they cover every IR case, a leaf and a bad leaf.
 
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -19,11 +18,9 @@ from netbargain.graphcore import Graph, edge_list_text
 
 import corpus
 
-
-def random_tree(seed: int, n: int) -> Graph:
-    rng = random.Random(seed)
-    return Graph.build([(f"t{i}", f"t{rng.randrange(i)}") for i in range(1, n)])
-
+# (seed, vertices) of the random trees; tree12's balancing runs three
+# acceleration LPs with 18 dominance rows
+TREES = {"tree10": (5, 10), "tree12": (10, 12)}
 
 GOLDEN = {
     "corpus1": "1b4620c441a8e1e95f05969701f2045fcc804800927736f3b29bc478c2ef2141",
@@ -35,16 +32,19 @@ GOLDEN = {
     "corpus7": "4b9377a5fe8bb8835d506cbe40519688869231e96a63b74d06363a7271660188",
     "corpus8": "6478cbbe7be4fdd6ef273a492fee74a706768e5c3900401410ecb11ddc4a042c",
     "tree10": "c07a0caf48adbc4395543e545d7664006fe9e5d88a920b9779219aed5a08acf5",
+    "tree12": "57fa746eab83202c03225565526b46625788392b546e8a29d69454677ace0977",
     "p4": "a8b7b85154a2ab002c987380e3400f549c3dce04c3e8f0769f3553088c2de36b",
     "gap1": "2ba4555b03b11627fb3f585b023bdc98e54f0f3bf882636f2c32bab8b59cd8bc",
 }
 
 # `balance --trace` stdout: corpus3 runs 9 case-2 steps on its doubled
-# host, gap2 runs cases 1 and 3, star5 ends in a bad leaf at its root.
+# host, gap2 runs cases 1 and 3, star5 ends in a bad leaf at its root,
+# and tree12 pins the balancing trace of its 3 LPs and 10 transfers.
 TRACED = {
     "corpus3": "fec5c4f99c899952d01ad6049cc4c8a94153b0bcfbdaef84bdca5c7630beab87",
     "gap2": "6d22f1408fde73b7dbaa10b058bc91b67d70be361c0179fcf7aceb247cfa7e53",
     "star5": "54d6ae9918133a7daeba7621b6b05df8b6a640ed7b7583b11d317767ad5eb68f",
+    "tree12": "2401c9b3ff21a4b805a0997bda92add88e990cfd16da665401f4a65bfb722ab0",
 }
 
 STATS = {
@@ -93,8 +93,8 @@ def _input_file(name: str, tmp_path, capsys) -> str:
         return str(path)
     if name.startswith("corpus"):
         g = corpus.corpus_graph(int(name[len("corpus"):]))
-    elif name == "tree10":
-        g = random_tree(5, 10)
+    elif name in TREES:
+        g = corpus.random_tree(*TREES[name])
     else:
         g = corpus.p4()
     path.write_text(edge_list_text(g))
