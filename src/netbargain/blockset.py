@@ -15,7 +15,9 @@ node:
       relaxation value, omega being the sparsity of the solved graph.
 
 Non-bipartite inputs are handled by the two-copy reduction at a factor-2
-cost in the certified approximation ratio.
+cost in the certified approximation ratio.  A root instance whose game
+has a nonempty core needs neither: the core's witness allocation settles
+it with an empty blocking set and no LP.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .graphcore import (
     pull_back,
     uncovered_edge,
 )
-from .matching import fractional_matching_value, matching_number
+from .matching import CoreReport, assert_stable, core_status, fractional_matching_value
 
 _Z = Fraction(0)
 _ONE = Fraction(1)
@@ -314,9 +316,10 @@ def _check_spanning_tree(edges: frozenset[Edge], vertices: set[str]) -> None:
 @dataclass(frozen=True)
 class _Node:
     """One rounding step: its instance without isolated vertices, its LP
-    value (0 for an edgeless leaf, which solves no LP), whether the
-    two-level check ran, its case, and what it adds to its child's
-    answer: `unit_vertex` set to 1 or `blocked_edge`.
+    value (0 for an edgeless leaf and for a root settled by the core
+    witness, neither of which solves an LP), whether the two-level check
+    ran, its case, and what it adds to its child's answer: `unit_vertex`
+    set to 1 or `blocked_edge`.
     """
 
     inst: GbsInstance
@@ -430,7 +433,8 @@ def _trace(nodes: list[_Node]) -> tuple[str, ...]:
 def _stats(nodes: list[_Node]) -> dict[str, int]:
     cases = Counter(n.case for n in nodes)
     return {
-        "lp_solves": sum(1 for n in nodes if n.inst.graph.m),  # only edgeless leaves skip the LP
+        # edgeless leaves and a root settled by the core witness skip the LP
+        "lp_solves": sum(1 for n in nodes if n.inst.graph.m and n.case != "core"),
         "ir_returns": len(nodes),
         "lemma_two_checks": sum(n.two_level for n in nodes),
         "bad_leaves": cases["bad"],
@@ -559,7 +563,9 @@ def _halved_host_value(
     return value
 
 
-def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> BlockingSetResult:
+def stabilize_instance(
+    inst: GbsInstance, omega: Fraction | None = None, core: CoreReport | None = None
+) -> BlockingSetResult:
     """Blocking set plus allocation with a certified approximation factor.
 
     Bipartite graphs are rounded directly (factor 2*omega + 1); others go
@@ -571,26 +577,42 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
     dual certificate check on the root instance's own LP, which is never
     solved.  Raises InputError when the budget cannot cover the protected
     edges, where the relaxation has no solution.
+
+    `core` is the caller's `core_status` of the graph, and `inst` must then
+    be the graph's root instance with the report's `nu`.  When that core is
+    nonempty, its witness settles the instance with no rounding and no LP:
+    with z = 0 the witness is a feasible point of the relaxation, whose
+    objective sum(z) is never negative, so the relaxation value is 0 and
+    the empty blocking set is optimal.  The factor is the one the rounding
+    would certify.  The witness is checked as a stable allocation of `nu`,
+    and the final cover and budget checks below still run on it.
     """
     g = inst.graph
     om = Fraction(omega) if omega is not None else compute_sparsity(g).omega
     if om < 1:
         raise PreconditionError("sparsity parameter must be at least 1")
+    if core is not None and (inst.e2 or inst.nu != core.nu):
+        raise PreconditionError("a core report settles only the root instance of its graph")
     if inst.e2 and (need := fractional_matching_value(Graph(g.vertices, inst.e2))) > inst.nu:
         # by LP duality the relaxation is feasible iff this fractional matching fits the budget
         raise InputError(f"budget {inst.nu} cannot cover e2, whose fractional matching is {need}")
 
-    if is_bipartite(g) is not None:
+    bipartite = is_bipartite(g) is not None
+    if core is not None and core.status == "nonempty":
+        x, blocked = dict(core.witness_allocation), frozenset()
+        assert_stable(g, inst.nu, x)  # the report is an input: check its witness again
+        nodes = [_Node(inst, (), _Z, False, "core")]
+        root_value = _Z
+    elif bipartite:
         x, blocked, nodes, _ = _ir(inst, om)
         root_value = nodes[0].lp_value
-        factor = 2 * om + 1
     else:
         d = bipartite_double(g)
         host_inst = _double_instance(inst, d)
         xh, bh, nodes, root = _ir(host_inst, 2 * om)  # an odd cycle: the root solves its LP
         root_value = _halved_host_value(inst, d, host_inst, root)
         x, blocked = pull_back(d, xh, bh)
-        factor = 8 * om + 2
+    factor = 2 * om + 1 if bipartite else 8 * om + 2
 
     bare = uncovered_edge((e for e in g.edges if e not in blocked), x)
     if bare is not None:
@@ -613,5 +635,10 @@ def stabilize_instance(inst: GbsInstance, omega: Fraction | None = None) -> Bloc
 
 
 def stabilize(g: Graph, omega: Fraction | None = None) -> BlockingSetResult:
-    """Stabilize a plain graph: every edge droppable, budget = matching number."""
-    return stabilize_instance(root_instance(g, matching_number(g)), omega=omega)
+    """Stabilize a plain graph: every edge droppable, budget = matching number.
+
+    Runs the core diagnosis first, so a stable graph is settled by its
+    core witness, as the CLI settles it.
+    """
+    core = core_status(g)
+    return stabilize_instance(root_instance(g, core.nu), omega=omega, core=core)

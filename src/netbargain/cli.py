@@ -100,7 +100,7 @@ def _alloc_json(alloc: dict[str, Fraction]) -> dict[str, str]:
     return {v: rational_str(val) for v, val in sorted(alloc.items())}
 
 
-def _core_section(g: Graph) -> tuple[dict, int]:
+def _core_section(g: Graph) -> tuple[dict, matching.CoreReport]:
     report = matching.core_status(g)
     section = {
         "status": report.status,
@@ -111,7 +111,7 @@ def _core_section(g: Graph) -> tuple[dict, int]:
         section["witness"] = _alloc_json(report.witness_allocation)
     else:
         section["offending_edge"] = list(report.offending_edge)
-    return section, report.nu
+    return section, report
 
 
 def _emit(report: dict) -> None:
@@ -136,9 +136,9 @@ def _base_report(raw: bytes) -> dict:
 def cmd_analyze(args) -> int:
     g, _, raw = _load_input(args.file)
     report = _base_report(raw)
-    core, nu = _core_section(g)
+    core, diagnosis = _core_section(g)
     report["core"] = core
-    report["nu"] = nu
+    report["nu"] = diagnosis.nu
     report["omega"] = rational_str(_resolve_omega(g, args.omega))
     _emit(report)
     return 0
@@ -146,14 +146,16 @@ def cmd_analyze(args) -> int:
 
 def _stabilize_sections(g, inst, raw, args) -> tuple[dict, blockset.BlockingSetResult]:
     omega = _resolve_omega(g, args.omega)
-    core, graph_nu = _core_section(g)
+    core, diagnosis = _core_section(g)
+    # the core report settles the root instance; an instance JSON keeps its own split
+    root_core = None
     if inst is None:
-        inst = blockset.root_instance(g, graph_nu)
-    result = blockset.stabilize_instance(inst, omega=omega)
+        inst, root_core = blockset.root_instance(g, diagnosis.nu), diagnosis
+    result = blockset.stabilize_instance(inst, omega=omega, core=root_core)
     report = _base_report(raw)
     report["core"] = core
     report["nu"] = inst.nu
-    report["graph_nu"] = graph_nu
+    report["graph_nu"] = diagnosis.nu
     report["omega"] = rational_str(omega)
     report["blocking_set"] = [list(e) for e in result.blocking_set]
     report["allocation"] = _alloc_json(result.x_hat)

@@ -237,7 +237,7 @@ def core_status(g: Graph) -> CoreReport:
         )
 
     if feasible:
-        _assert_stable(g, nu, witness)
+        assert_stable(g, nu, witness)
         return CoreReport(nu, frac, iness, "nonempty", witness, None)
     return CoreReport(nu, frac, iness, "empty", None, offending)
 
@@ -260,7 +260,11 @@ def _assert_fractional_matching(g: Graph, y: dict[Edge, Fraction]) -> None:
             raise InternalInvariantError(f"fractional matching overloads {v}: {total}")
 
 
-def _assert_stable(g: Graph, nu: int, x: dict[str, Fraction]) -> None:
+def assert_stable(g: Graph, nu: int, x: dict[str, Fraction]) -> None:
+    """Check x as a nonnegative allocation of exactly nu on g's vertices that
+    covers every edge: a witness that the core of g is nonempty."""
+    if set(x) != set(g.vertices):
+        raise InternalInvariantError("witness does not allocate exactly the graph's vertices")
     total = sum(x.values(), Fraction(0))
     if total != nu:
         raise InternalInvariantError(f"witness total {total} != {nu}")

@@ -48,6 +48,15 @@ def petersen() -> Graph:
     return Graph.build(outer + inner + spokes)
 
 
+def two_cover_tree() -> Graph:
+    """A 10-vertex tree whose core witness and whose rounded allocation are
+    two different stable covers of total `nu`."""
+    return Graph.build([
+        ("v05", "v00"), ("v06", "v05"), ("v01", "v06"), ("v08", "v05"), ("v07", "v05"),
+        ("v03", "v05"), ("v02", "v06"), ("v04", "v05"), ("v09", "v03"),
+    ])
+
+
 def corpus_graph(seed: int) -> Graph:
     """Seeded sparse graph: n in 4..14, at most 18 edges, sparsity <= 3."""
     n = 4 + (seed % 11)

@@ -6,11 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netbargain import blockset, exactlp, matching, oracle
 from netbargain.errors import InputError, InternalInvariantError, PreconditionError
-from netbargain.graphcore import Graph, bipartite_double, compute_sparsity
+from netbargain.graphcore import Graph, bipartite_double, compute_sparsity, is_bipartite, uncovered_edge
 
 import corpus
 from relaxation import relaxation_value
@@ -314,7 +314,13 @@ def test_stabilize_gap1_instance_exact_optimum():
     assert len(opt.blocking_set) == 8
 
 
-def test_stabilize_nonempty_core_gives_empty_set():
+def test_stabilize_nonempty_core_gives_empty_set(monkeypatch):
+    def no_rounding(*args):
+        raise AssertionError("the rounding ran on a stable root")
+
+    # the core witness settles a stable root: no rounding, no doubled host
+    monkeypatch.setattr(blockset, "_ir", no_rounding)
+    monkeypatch.setattr(blockset, "bipartite_double", no_rounding)
     # paw = triangle plus pendant: stable but not bipartite
     paw = Graph.build([("a", "b"), ("a", "c"), ("b", "c"), ("a", "d")])
     for g in (corpus.p3(), corpus.c4(), corpus.single_edge(), corpus.star(4), paw):
@@ -452,3 +458,83 @@ def test_relaxation_answer_is_certified(tampered_duals):
     _, inst = gap_instance(1)
     with pytest.raises(InternalInvariantError, match="relaxation solution not certified"):
         blockset.solve_gbs_lp(inst)
+
+
+# -- a stable root instance, settled by its core witness ------------------------
+
+
+@st.composite
+def stable_graphs(draw):
+    """A graph on 2-11 vertices with a nonempty core: either random edges
+    across two sides (bipartite, so stable by Konig's theorem), or a
+    triangle plus random edges and a matching of random vertex pairs, kept
+    when its core is nonempty."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 11))
+        left = draw(st.integers(1, n - 1))
+        names = [f"v{i:02d}" for i in range(n)]
+        cross = [(u, v) for u in names[:left] for v in names[left:]]
+        return Graph.build(draw(st.lists(st.sampled_from(cross), max_size=2 * n)), names)
+    n = draw(st.integers(4, 11))
+    names = [f"v{i:02d}" for i in range(n)]
+    extra = draw(st.lists(st.sampled_from(list(combinations(names, 2))), max_size=n))
+    order = draw(st.permutations(names))
+    matched = [(order[i], order[i + 1]) for i in range(0, n - 1, 2)]
+    g = Graph.build([("v00", "v01"), ("v01", "v02"), ("v00", "v02")] + extra + matched, names)
+    assume(matching.core_status(g).status == "nonempty")
+    return g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stable_graphs())
+def test_stable_root_is_settled_by_the_core_witness(g):
+    core = matching.core_status(g)
+    omega = compute_sparsity(g).omega
+    factor = 2 * omega + 1 if is_bipartite(g) is not None else 8 * omega + 2
+    r = blockset.stabilize(g)
+    assert r.blocking_set == () and r.root_lp_value == 0
+    assert r.x_hat == core.witness_allocation
+    assert r.guarantee_factor == factor and r.bound_holds
+    assert r.trace == (f"step=1 case=core |V|={g.n} |E1|={g.m} |E2|=0 nu={core.nu}",)
+    assert r.stats["lp_solves"] == 0
+    # the rounding, run without the report, is the oracle: it proves the same zero root
+    ir = blockset.stabilize_instance(blockset.root_instance(g, core.nu))
+    assert ir.blocking_set == () and ir.root_lp_value == 0
+    assert ir.guarantee_factor == factor
+
+
+def test_rounding_and_witness_may_pick_different_stable_covers():
+    g = corpus.two_cover_tree()
+    core = matching.core_status(g)
+    witness = blockset.stabilize(g).x_hat
+    rounded = blockset.stabilize_instance(blockset.root_instance(g, core.nu)).x_hat
+    assert witness == core.witness_allocation and witness != rounded
+    for x in (witness, rounded):
+        assert uncovered_edge(g.edges, x) is None
+        assert sum(x.values(), Fraction(0)) == core.nu
+
+
+@pytest.mark.parametrize(
+    "witness, match",
+    [
+        ({"a": 1, "b": 0, "c": 0, "d": 1}, "uncovered edge b-c"),
+        ({"a": -1, "b": 2, "c": 0, "d": 1}, "negative"),
+        ({"a": 1, "b": 1, "c": 1, "d": 1}, "total 4 != 2"),
+        ({"b": 1, "c": 1}, "graph's vertices"),
+    ],
+)
+def test_a_bad_core_witness_is_refused(witness, match):
+    g = corpus.p4()
+    core = replace(matching.core_status(g), witness_allocation={v: Fraction(x) for v, x in witness.items()})
+    with pytest.raises(InternalInvariantError, match=match):
+        blockset.stabilize_instance(blockset.root_instance(g, 2), core=core)
+
+
+@pytest.mark.parametrize("graph", [corpus.p4, corpus.k3])
+def test_a_core_report_settles_only_the_root_instance(graph):
+    g = graph()
+    core = matching.core_status(g)
+    protected = blockset.GbsInstance(g, g.edges[1:], g.edges[:1], core.nu)
+    for inst in (protected, blockset.root_instance(g, core.nu + 1)):
+        with pytest.raises(PreconditionError, match="root instance"):
+            blockset.stabilize_instance(inst, core=core)

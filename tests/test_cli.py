@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netbargain import cli, matching
+from netbargain import blockset, cli, matching
 
 import corpus
 
@@ -303,6 +303,20 @@ def test_trace_flag_includes_traces(capsys, k3_file):
     report = json.loads(out)
     assert "blockset" in report["traces"]
     assert all(line.startswith("step=") for line in report["traces"]["blockset"])
+
+
+@pytest.mark.parametrize("command", ["stabilize", "balance"])
+def test_stable_input_is_settled_by_the_core_witness(capsys, monkeypatch, p4_file, command):
+    def no_rounding(*args):
+        raise AssertionError("the rounding ran on a stable root")
+
+    monkeypatch.setattr(blockset, "_ir", no_rounding)
+    code, out, _ = run(capsys, command, p4_file, "--trace")
+    report = json.loads(out)
+    assert code == 0
+    assert report["traces"]["blockset"] == ["step=1 case=core |V|=4 |E1|=3 |E2|=0 nu=2"]
+    assert report["allocation"] == report["core"]["witness"]
+    assert report["guarantee"] == {"bound_holds": True, "factor": "3/1", "root_lp_value": "0/1"}
 
 
 def test_one_parser_keeps_no_state_between_calls(capsys, p4_file):

@@ -39,12 +39,13 @@ GOLDEN = {
 
 # `balance --trace` stdout: corpus3 runs 9 case-2 steps on its doubled
 # host, gap2 runs cases 1 and 3, star5 ends in a bad leaf at its root,
-# and tree12 pins the balancing trace of its 3 LPs and 10 transfers.
+# and tree12, a stable root settled by its core witness (`case=core`),
+# pins the balancing trace of its 3 LPs and 10 transfers.
 TRACED = {
     "corpus3": "fec5c4f99c899952d01ad6049cc4c8a94153b0bcfbdaef84bdca5c7630beab87",
     "gap2": "6d22f1408fde73b7dbaa10b058bc91b67d70be361c0179fcf7aceb247cfa7e53",
     "star5": "54d6ae9918133a7daeba7621b6b05df8b6a640ed7b7583b11d317767ad5eb68f",
-    "tree12": "2401c9b3ff21a4b805a0997bda92add88e990cfd16da665401f4a65bfb722ab0",
+    "tree12": "d052651c7fa98ade9b31132a306bf6ea6aff00afa6b774d206d80126d3017bcf",
 }
 
 STATS = {
