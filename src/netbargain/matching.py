@@ -3,8 +3,10 @@
 The matching routine is an unweighted blossom search (BFS alternating
 forest with cycle contraction), exact on general graphs.  Stability
 analysis cross-checks three equivalent emptiness criteria and refuses to
-return if they ever disagree; an empty core is proven by a fractional
-matching above the matching number, with no LP.
+return if they ever disagree.  Neither verdict solves an LP: an empty
+core is proven by a fractional matching above the matching number, and a
+nonempty one by a stable allocation read off the Gallai-Edmonds
+decomposition that the blossom search already returns.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exactlp
 from .errors import InternalInvariantError, PreconditionError
 from .graphcore import Edge, Graph, edge_key, uncovered_edge
 
@@ -166,10 +167,10 @@ class CoreReport:
     """Stability diagnosis of the matching game on a graph.
 
     The three criteria (integral vs fractional matching value, absence
-    of an edge between two inessential vertices, feasibility of a stable
-    allocation) are all computed and must agree.  Feasibility is shown
-    by a witness allocation, infeasibility by a fractional matching of
-    value above nu.
+    of an edge between two inessential vertices, a stable allocation of
+    nu) are all computed and must agree.  An empty core is certified by
+    a fractional matching of value above nu, a nonempty one by the
+    Gallai-Edmonds witness allocation.
     """
 
     nu: int
@@ -180,39 +181,37 @@ class CoreReport:
     offending_edge: Edge | None
 
 
-def _stable_allocation(g: Graph, nu: int) -> dict[str, Fraction] | None:
-    """A nonnegative allocation of nu covering every edge, or None if none exists."""
-    if g.n == 0:
-        return {}
-    names = [f"x {v}" for v in g.vertices]
-    lp = exactlp.LpProblem("stable-allocation", "min", names)
-    lp.set_objective({name: 1 for name in names})
-    for u, v in g.edges:
-        lp.add_constraint({f"x {u}": 1, f"x {v}": 1}, exactlp.GE, 1, name=f"edge {u} {v}")
-    lp.add_constraint({name: 1 for name in names}, exactlp.EQ, nu, name="total")
-    sol = exactlp.solve(lp)
-    if sol.status != exactlp.OPTIMAL:
-        return None
-    bad = exactlp.check_certificates(lp, sol)
-    if bad:
-        raise InternalInvariantError(f"stable allocation not certified: {'; '.join(bad)}")
-    return {v: sol.values[f"x {v}"] for v in g.vertices}
+def _gallai_edmonds_witness(g: Graph, inessential: tuple[str, ...]) -> dict[str, Fraction]:
+    """x = 0 on D, the inessential vertices, 1 on A, their neighbours outside
+    D, and 1/2 on the rest C: a stable allocation of nu when D is independent.
+
+    By Gallai-Edmonds nu = (|V| - c(D) + |A|) / 2, where c(D) counts the
+    components of G[D].  D independent gives c(D) = |D|, so nu = |A| + |C|/2,
+    the total of x.  No edge lies in D or joins D to C, A's 1 covers each
+    edge at A, and an edge inside C gets 1/2 + 1/2.  This holds on bipartite
+    and non-bipartite graphs alike.
+    """
+    d = set(inessential)
+    a = {w for e in g.edges if d.intersection(e) for w in e} - d
+    return {v: Fraction(0 if v in d else 2 if v in a else 1, 2) for v in g.vertices}
 
 
 def stable_allocation(g: Graph) -> dict[str, Fraction]:
-    """A nonnegative allocation of the matching number with every edge covered.
+    """The Gallai-Edmonds witness of `core_status`: a nonnegative allocation
+    of the matching number with every edge covered.
 
     Raises PreconditionError when no such allocation exists.
     """
-    x = _stable_allocation(g, matching_number(g))
+    x = core_status(g).witness_allocation
     if x is None:
         raise PreconditionError("no stable allocation exists for this graph")
     return x
 
 
 def core_status(g: Graph) -> CoreReport:
-    """Diagnose the core; the allocation LP runs only when no fractional
-    matching above nu proves it infeasible."""
+    """Diagnose the core with no LP: an empty verdict is certified by a
+    fractional matching above nu, a nonempty one by the Gallai-Edmonds
+    witness, checked as a stable allocation of nu."""
     m = max_matching(g)
     nu, iness = m.size, m.inessential
     y = fractional_matching(g)
@@ -225,7 +224,7 @@ def core_status(g: Graph) -> CoreReport:
         _assert_fractional_matching(g, y)
         witness = None
     else:
-        witness = _stable_allocation(g, nu)
+        witness = _gallai_edmonds_witness(g, iness)
 
     by_fractional_gap = frac == nu
     by_adjacency = offending is None

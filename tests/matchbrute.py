@@ -2,8 +2,8 @@
 
 Each one computes its quantity straight from the definition: the matching
 number by exhaustive branching, and, the slow way the solver once did,
-the inessential set by deleting every vertex in turn and the fractional
-matching number by solving its LP.
+the inessential set by deleting every vertex in turn, and the fractional
+matching number and a stable allocation by solving their LPs.
 """
 
 from fractions import Fraction
@@ -56,3 +56,21 @@ def fractional_matching_lp(g: Graph) -> Fraction:
     sol = exactlp.solve(lp)
     assert sol.status == exactlp.OPTIMAL
     return sol.objective
+
+
+def stable_allocation_lp(g: Graph, nu: int) -> dict[str, Fraction] | None:
+    """min sum x_v subject to x >= 0, x_u + x_v >= 1 on every edge and
+    sum x_v = nu: a stable allocation of nu, or None if none exists."""
+    if g.n == 0:
+        return {}
+    names = [f"x {v}" for v in g.vertices]
+    lp = exactlp.LpProblem("stable-allocation", "min", names)
+    lp.set_objective({name: 1 for name in names})
+    for u, v in g.edges:
+        lp.add_constraint({f"x {u}": 1, f"x {v}": 1}, exactlp.GE, 1, name=f"edge {u} {v}")
+    lp.add_constraint({name: 1 for name in names}, exactlp.EQ, nu, name="total")
+    sol = exactlp.solve(lp)
+    if sol.status != exactlp.OPTIMAL:
+        return None
+    assert exactlp.check_certificates(lp, sol) == []
+    return {v: sol.values[f"x {v}"] for v in g.vertices}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netbargain import blockset, cli, matching
+from netbargain import blockset, cli, exactlp, matching
 
 import corpus
 
@@ -66,6 +66,20 @@ def test_analyze_p3(capsys, p3_file):
     assert code == 0
     assert report["core"]["status"] == "nonempty"
     assert report["core"]["witness"] == {"a": "0/1", "b": "1/1", "c": "0/1"}
+
+
+def test_analyze_long_path_solves_no_lp(capsys, monkeypatch, tmp_path):
+    # a perfect matching exists, so D = A = () and the core witness is 1/2 everywhere
+    path = write(tmp_path, "path.txt", "".join(f"v{i} v{i + 1}\n" for i in range(999)))
+    solves = []
+    solve = exactlp.solve
+    monkeypatch.setattr(exactlp, "solve", lambda lp: solves.append(lp) or solve(lp))
+    code, out, _ = run(capsys, "analyze", path)
+    core = json.loads(out)["core"]
+    assert code == 0
+    assert core["status"] == "nonempty"
+    assert len(core["witness"]) == 1000 and set(core["witness"].values()) == {"1/2"}
+    assert solves == []
 
 
 def test_analyze_empty_file(capsys, tmp_path):

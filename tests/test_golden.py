@@ -31,9 +31,9 @@ GOLDEN = {
     "corpus6": "65e98946fd5c8bc32dd52d341b1d598b447b5e9ce402f747df2d4634c5cf6aa2",
     "corpus7": "4b9377a5fe8bb8835d506cbe40519688869231e96a63b74d06363a7271660188",
     "corpus8": "6478cbbe7be4fdd6ef273a492fee74a706768e5c3900401410ecb11ddc4a042c",
-    "tree10": "c07a0caf48adbc4395543e545d7664006fe9e5d88a920b9779219aed5a08acf5",
-    "tree12": "57fa746eab83202c03225565526b46625788392b546e8a29d69454677ace0977",
-    "p4": "a8b7b85154a2ab002c987380e3400f549c3dce04c3e8f0769f3553088c2de36b",
+    "tree10": "7273226a0ae969a963614c6572b9bf6bd8df26348c31cba28cb371b942742276",
+    "tree12": "6ca72d254b5c2c34c57f567fa1909649c4de57b9a34eb254b2067a8d517391a2",
+    "p4": "2b9d770998492bccae2e53949538f0f35db9a53be4ffdb6d3ae40e61132ec5ac",
     "gap1": "2ba4555b03b11627fb3f585b023bdc98e54f0f3bf882636f2c32bab8b59cd8bc",
 }
 
@@ -45,7 +45,7 @@ TRACED = {
     "corpus3": "fec5c4f99c899952d01ad6049cc4c8a94153b0bcfbdaef84bdca5c7630beab87",
     "gap2": "6d22f1408fde73b7dbaa10b058bc91b67d70be361c0179fcf7aceb247cfa7e53",
     "star5": "54d6ae9918133a7daeba7621b6b05df8b6a640ed7b7583b11d317767ad5eb68f",
-    "tree12": "d052651c7fa98ade9b31132a306bf6ea6aff00afa6b774d206d80126d3017bcf",
+    "tree12": "a86cf7c72819c0be6f91c35506f6ce198180678e877408707c63c27e7e5b9873",
 }
 
 STATS = {

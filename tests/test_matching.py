@@ -1,6 +1,8 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,23 +171,22 @@ def test_core_criteria_agree_across_random_graphs():
     assert nonempty and empty
 
 
-def test_empty_core_is_proven_without_an_lp(monkeypatch):
+def test_core_status_solves_no_lp(monkeypatch):
     solves = []
     solve = exactlp.solve
     monkeypatch.setattr(exactlp, "solve", lambda lp: solves.append(lp) or solve(lp))
-    graphs = [corpus.corpus_graph(seed) for seed in range(30)]
-    empty = [g for g in graphs if matching.fractional_matching_value(g) > matching.matching_number(g)]
-    assert empty
-    for g in (corpus.k3(), corpus.c5(), *empty):
+    graphs = [corpus.k3(), corpus.c5(), corpus.c4(), corpus.p3()]
+    graphs += [corpus.corpus_graph(seed) for seed in range(30)]
+    statuses = set()
+    for g in graphs:
         report = matching.core_status(g)
-        y = matching.fractional_matching(g)
-        assert report.status == "empty"
-        assert set(y.values()) <= {0, Fraction(1, 2), 1}
-        assert sum(y.values()) == report.fractional_value
+        statuses.add(report.status)
+        if report.status == "empty":
+            y = matching.fractional_matching(g)
+            assert set(y.values()) <= {0, Fraction(1, 2), 1}
+            assert sum(y.values()) == report.fractional_value
+    assert statuses == {"empty", "nonempty"}
     assert solves == []
-    # a stable graph still proves its core by the allocation LP
-    assert matching.core_status(corpus.c4()).status == "nonempty"
-    assert len(solves) == 1
 
 
 def test_overloaded_fractional_matching_is_refused(monkeypatch):
@@ -196,6 +197,46 @@ def test_overloaded_fractional_matching_is_refused(monkeypatch):
         matching.core_status(corpus.k3())
 
 
-def test_stable_allocation_answer_is_certified(tampered_duals):
-    with pytest.raises(InternalInvariantError, match="stable allocation not certified"):
-        matching.stable_allocation(corpus.p3())
+def test_a_wrong_inessential_set_is_refused(monkeypatch):
+    # with D = () every vertex of P3 gets 1/2: total 3/2, not nu = 1
+    m = matching.max_matching(corpus.p3())
+    monkeypatch.setattr(matching, "max_matching", lambda g: replace(m, inessential=()))
+    with pytest.raises(InternalInvariantError, match="witness total 3/2 != 1"):
+        matching.core_status(corpus.p3())
+
+
+@st.composite
+def unions_of_pieces(draw):
+    """Disjoint random pieces, bipartite or not, and isolated vertices."""
+    names, edges = [], []
+    for c in range(draw(st.integers(1, 3))):
+        piece = [f"c{c}v{i}" for i in range(draw(st.integers(1, 6)))]
+        bipartite = draw(st.booleans())
+        pairs = [
+            (u, v)
+            for (i, u), (j, v) in combinations(enumerate(piece), 2)
+            if not bipartite or (j - i) % 2
+        ]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        names += piece
+        edges += [e for e, k in zip(pairs, keep) if k]
+    names += [f"iso{i}" for i in range(draw(st.integers(0, 2)))]
+    return Graph.build(edges, names)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(unions_of_pieces())
+def test_core_witness_agrees_with_the_lp_oracle(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    nu = len(nx.max_weight_matching(h, maxcardinality=True))
+    report = matching.core_status(g)
+    lp_witness = matchbrute.stable_allocation_lp(g, nu)
+    assert (report.status == "nonempty") == (lp_witness is not None)
+    if lp_witness is None:
+        return
+    x = report.witness_allocation
+    assert sum(x.values()) == sum(lp_witness.values()) == nu
+    assert set(x.values()) <= {0, Fraction(1, 2), 1}
+    assert all(x[u] + x[v] >= 1 for u, v in g.edges)
