@@ -124,7 +124,7 @@ def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     )
 
 
-def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> SurplusState:
+def maschler_shift(st: SurplusState) -> SurplusState:
     """Transfer half the surplus difference along the worst unbalanced pair.
 
     The recipient is the pair (i, j) with the largest surplus, smallest
@@ -134,6 +134,9 @@ def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> Su
     pairs frozen above keep their surpluses and defining-option values;
     the allocation total and the unit cover of every edge survive.
     Returns the surplus state of the new allocation.
+
+    A transfer can take x_j below 0, but no dip reaches an output: the
+    next `build_delta_lp` checks y >= 0, and so does `_prekernel_run`.
     """
     if not st.violated:
         raise PreconditionError("no unbalanced pair to shift")
@@ -144,8 +147,6 @@ def maschler_shift(st: SurplusState, diagnostics: list[str] | None = None) -> Su
     x2 = dict(st.x)
     x2[i] += mu
     x2[j] -= mu
-    if diagnostics is not None and any(val < 0 for val in x2.values()):
-        diagnostics.append(f"allocation dipped negative after transfer on ({i},{j})")
 
     after = surpluses(st.graph, x2)
     s0 = st.s_max
@@ -249,7 +250,6 @@ class PrekernelRun:
     lp_solves: int = 0
     shifts: int = 0
     trace: list[str] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
 
 
 def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
@@ -288,7 +288,7 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
             cur = st_y
             feasible_push = st_y.delta_cap - st_y.s_max
             while cur.violated and cur.s_max == target:
-                cur = maschler_shift(cur, run.diagnostics)
+                cur = maschler_shift(cur)
                 run.shifts += 1
                 round_shifts += 1
                 if round_shifts > m:
@@ -357,7 +357,6 @@ class BalancedOutcome:
     lp_solves: int
     shifts: int
     trace: tuple[str, ...]
-    diagnostics: tuple[str, ...]
 
 
 def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOutcome:
@@ -425,5 +424,4 @@ def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOu
         lp_solves=run.lp_solves,
         shifts=run.shifts,
         trace=tuple(run.trace),
-        diagnostics=tuple(run.diagnostics),
     )

@@ -190,8 +190,6 @@ def cmd_balance(args) -> int:
     }
     if args.trace:
         report.setdefault("traces", {})["bargain"] = list(outcome.trace)
-        if outcome.diagnostics:
-            report["traces"]["bargain_diagnostics"] = list(outcome.diagnostics)
     _emit(report)
     return 0
 

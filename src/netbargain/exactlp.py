@@ -9,12 +9,13 @@ There is no floating-point phase, so callers can compare solution
 values against thresholds like 1/3 exactly.  The solver returns optimal
 *basic* solutions (vertices of the feasible region), row duals, the
 rows that define the returned vertex, and the tableau's size and pivot
-counts.  Every row stays in the tableau for the whole solve; a
-redundant one keeps an artificial basic at 0 and is left out of the
-defining rows.  `violations` checks any point against an LP's rows and
-nonnegativity, and `check_certificates` proves an optimal answer by its
-duals.  Both work in exact integer arithmetic and build a `Fraction`
-only to word a finding and to compare the duality gap.
+counts.  Every row stays in the tableau for the whole solve; an
+artificial left basic by phase 1 (a redundant row's, say) stays at 0,
+and its row is not defining while it is basic.  `violations` checks any
+point against an LP's rows and nonnegativity, and `check_certificates`
+proves an optimal answer by its duals.  Both work in exact integer
+arithmetic and build a `Fraction` only to word a finding and to compare
+the duality gap.
 
 Pivoting uses Bland's rule over the canonical variable order, which
 guarantees termination and makes every solve deterministic.
@@ -94,13 +95,14 @@ class LpSolution:
     """Solve result.
 
     `defining_rows` are the constraints whose own slack, surplus and
-    artificial columns are all nonbasic; each is tight, and together with
-    the zero variables they determine the returned point uniquely.
+    artificial columns are all nonbasic (so no row whose artificial is still
+    basic); each is tight, and together with the zero variables they
+    determine the returned point uniquely, since the basis is nonsingular.
     `duals` follow the convention under which the dual objective equals
     the primal one (see `check_certificates`).  The size of the tableau
     (rows; columns for the variables, slacks, surpluses and artificials)
     and the pivots of each phase are reported for observability and take
-    no part in equality.
+    no part in equality; phase 2 counts those that take artificials out.
     """
 
     status: str
@@ -111,7 +113,6 @@ class LpSolution:
     rows: int = field(default=0, compare=False)
     columns: int = field(default=0, compare=False)
     phase1_pivots: int = field(default=0, compare=False)
-    driveout_pivots: int = field(default=0, compare=False)
     phase2_pivots: int = field(default=0, compare=False)
 
 
@@ -171,7 +172,15 @@ class _Tableau:
         return scale, [(rows[i], cb * (scale // dens[i])) for i, cb in basic]
 
     def run(self, costs: list[int], banned: frozenset[int]) -> str:
-        """Minimize `costs`; Bland's rule (lowest eligible index) throughout."""
+        """Minimize `costs`; Bland's rule (lowest eligible index) throughout.
+
+        A `banned` column never enters, and one still basic stays at 0: a
+        feasible phase 1 leaves an artificial basic only at 0, so a pivot
+        on its row is a zero step on either sign (`pivot` makes a negative
+        pivot entry positive).  Such a pivot takes a banned column out for
+        good, so Bland's rule, which guarantees termination, runs unchanged
+        between at most as many of them as there are artificials.
+        """
         rows, basis = self.rows, self.basis
         while True:
             scale, priced = self.priced(costs)
@@ -187,17 +196,20 @@ class _Tableau:
                     break
             if enter < 0:
                 return OPTIMAL
-            # the smallest rhs / a over a > 0; the denominators cancel
+            # the smallest rhs / a over a > 0; the denominators cancel.  A row
+            # whose basic column is banned takes part on either sign, as |a|
             leave = -1
             for i, row in enumerate(rows):
                 a = row[enter]
+                if a < 0 and basis[i] in banned:
+                    a = -a
                 if a > 0:
                     if leave < 0:
-                        leave = i
+                        leave, best = i, a
                     else:
-                        lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                        lhs, rhs = row[-1] * best, rows[leave][-1] * a
                         if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                            leave = i
+                            leave, best = i, a
             if leave < 0:
                 return UNBOUNDED
             self.pivot(leave, enter)
@@ -289,8 +301,6 @@ def solve(p: LpProblem) -> LpSolution:
         _, priced = tab.priced(cost1)
         if sum(w * row[-1] for row, w in priced) > 0:
             return LpSolution(status=INFEASIBLE, **counts)
-        _drive_out_artificials(tab, art_set)
-        counts["driveout_pivots"] = tab.pivots - counts["phase1_pivots"]
 
     # phase 2 prices with integer costs: the user's costs times the lcm of
     # their denominators, negated for a maximum
@@ -313,7 +323,7 @@ def solve(p: LpProblem) -> LpSolution:
 
     # a row's dual is minus the reduced cost of its artificial column (else its
     # slack column), in the user's sense and for the row as the user wrote it;
-    # a redundant row, whose basic variable stays artificial, reads it the same way
+    # a row whose artificial is still basic reads it the same way, as 0
     scale, priced = tab.priced(cost2)
     duals = []
     for row in rows:
@@ -331,24 +341,6 @@ def solve(p: LpProblem) -> LpSolution:
         defining_rows=defining_rows,
         **counts,
     )
-
-
-def _drive_out_artificials(tab: _Tableau, art_set: frozenset[int]) -> None:
-    """Pivot zero-valued basic artificials out where the row allows it.
-
-    A row whose basic variable stays artificial is zero in every other
-    column, so phase 2, which bans artificial columns, never pivots on it
-    or changes it, and pricing skips it because its basic cost is 0.
-    """
-    for i in range(len(tab.rows)):
-        if tab.basis[i] in art_set:
-            target = -1
-            for j in range(tab.ncols):
-                if j not in art_set and tab.rows[i][j] != 0:
-                    target = j
-                    break
-            if target >= 0:
-                tab.pivot(i, target)
 
 
 def _row_pass(p: LpProblem, point: Mapping[str, Fraction]) -> tuple[list[str], list[int] | None, list[bool]]:

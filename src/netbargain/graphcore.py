@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, PreconditionError
 
 Edge = tuple[str, str]
 
@@ -343,17 +343,18 @@ def pull_back(
     """Map a host allocation/edge-set pair back to the original graph.
 
     Each original vertex receives the average of its two copies; an
-    original edge is selected iff either of its copies was.
+    original edge is selected iff either of its copies was.  A bad pair
+    is the solver's fault and raises PreconditionError.
     """
     b_set = {edge_key(*e) for e in b_host}
     unknown = b_set - d.host.edge_set
     if unknown:
-        raise InputError(f"edges not in host graph: {sorted(unknown)}")
+        raise PreconditionError(f"edges not in host graph: {sorted(unknown)}")
     x: dict[str, Fraction] = {}
     for v, (c1, c2) in d.side_map.items():
         a, b = Fraction(x_host.get(c1, 0)), Fraction(x_host.get(c2, 0))
         if a < 0 or b < 0:
-            raise InputError(f"negative host allocation at copies of {v!r}")
+            raise PreconditionError(f"negative host allocation at copies of {v!r}")
         x[v] = (a + b) / 2
     pulled = tuple(sorted(e for e, (h1, h2) in d.edge_map.items() if h1 in b_set or h2 in b_set))
     return x, pulled

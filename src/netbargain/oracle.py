@@ -3,8 +3,8 @@
 The yes/no answers share no algorithmic code with the main pipeline, so they
 can serve as test oracles: fractional covers come from a Hopcroft-Karp
 matching of a local two-copy graph, blocking sets from subset enumeration.
-Only `_cover_witness` (an `exactlp` solve) and `gen_sparse`
-(`compute_sparsity`) call into the pipeline.
+Only `_cover_witness` (an `exactlp` solve, checked by `uncovered_edge`)
+and `gen_sparse` (`compute_sparsity`) call into the pipeline.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from math import comb
 from typing import Iterable
 
 from . import exactlp
-from .errors import InputError, PreconditionError
-from .graphcore import Edge, Graph, compute_sparsity, edge_key
+from .errors import InputError, InternalInvariantError, PreconditionError
+from .graphcore import Edge, Graph, compute_sparsity, edge_key, uncovered_edge
 
 #: size caps, checked before anything is built: gen_gap makes 2n^2
 #: protected edges, gen_sparse draws from all n(n-1)/2 vertex pairs, and
@@ -205,8 +205,15 @@ def _cover_witness(g: Graph, blocked: set[Edge], nu: int) -> dict[str, Fraction]
     for u, v in remaining:
         lp.add_constraint({f"x {u}": 1, f"x {v}": 1}, exactlp.GE, 1, name=f"edge {u} {v}")
     sol = exactlp.solve(lp)
-    assert sol.status == exactlp.OPTIMAL and sol.objective <= nu
-    return {v: sol.values[f"x {v}"] for v in g.vertices}
+    if sol.status != exactlp.OPTIMAL:
+        raise InternalInvariantError(f"cover witness LP not optimal: {sol.status}")
+    x = {v: sol.values[f"x {v}"] for v in g.vertices}
+    if sum(x.values(), Fraction(0)) > nu:
+        raise InternalInvariantError(f"cover witness exceeds nu = {nu}")
+    bare = uncovered_edge(remaining, x)
+    if bare is not None:
+        raise InternalInvariantError(f"cover witness uncovers {bare[0]}-{bare[1]}")
+    return x
 
 
 def brute_min_blocking_set(

@@ -114,6 +114,18 @@ def test_shift_p4_picks_smallest_top_pair():
     assert after == bargain.surpluses(g, after.x)
 
 
+def test_shift_can_dip_negative_and_the_next_delta_lp_raises():
+    # on the path c-a-b-d, (a, b) is the worst pair and a transfer of 1 from b
+    # to a takes x_b below 0; the next acceleration LP refuses that state
+    g = Graph.build([("c", "a"), ("a", "b"), ("b", "d")])
+    st = bargain.surpluses(g, alloc(g, a=1, d=3))
+    assert st.violated[0] == ("a", "b")
+    after = bargain.maschler_shift(st)
+    assert after.x == {"a": F(2), "b": F(-1), "c": F(0), "d": F(3)}
+    with pytest.raises(InternalInvariantError, match="y b negative: -1"):
+        bargain.build_delta_lp(after)
+
+
 def test_shift_requires_unbalanced_pair():
     g = corpus.p3()
     st = bargain.surpluses(g, alloc(g, b=1))

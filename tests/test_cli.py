@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,18 @@ def test_oracle_min_blockset_k3(capsys, k3_file):
     report = json.loads(out)
     assert code == 0
     assert report["opt_size"] == 1
+
+
+def test_oracle_min_blockset_wrong_cover_witness_exit_2(capsys, monkeypatch, k3_file):
+    # a witness LP answer of all zeros uncovers an unblocked edge: a solver bug
+    def zeros(lp):
+        return exactlp.LpSolution(exactlp.OPTIMAL, dict.fromkeys(lp.variables, Fraction(0)), Fraction(0))
+
+    monkeypatch.setattr(exactlp, "solve", zeros)
+    code, out, err = run(capsys, "oracle", "min-blockset", k3_file)
+    assert code == 2
+    assert out == ""
+    assert "cover witness uncovers" in err
 
 
 def test_oracle_min_blockset_gap1_uses_instance(capsys, gap1_file):

@@ -141,21 +141,40 @@ def test_solution_reports_size_and_pivots():
     s = exactlp.solve(_redundant_row_lp())
     # 2 variables, 2 slacks and 3 artificials
     assert (s.rows, s.columns) == (5, 7)
-    assert (s.phase1_pivots, s.driveout_pivots, s.phase2_pivots) == (3, 0, 0)
+    assert (s.phase1_pivots, s.phase2_pivots) == (3, 0)
     # the counts take no part in equality
     assert s == replace(s, phase1_pivots=0, rows=0)
 
 
-def test_drive_out_pivots_are_counted_apart():
+def test_vacuous_row_keeps_its_artificial_through_phase_2():
     # the vacuous row 0 >= 0 starts feasible with its artificial basic at 0, so
-    # phase 1 makes no pivot and the drive-out pivots the surplus in
-    lp = exactlp.LpProblem("drive", "max", ["x0", "x1"])
+    # phase 1 makes no pivot; the row is zero in every column phase 2 can enter,
+    # so its artificial stays basic and phase 2 makes the one pivot x1 needs
+    lp = exactlp.LpProblem("vacuous", "max", ["x0", "x1"])
     lp.set_objective({"x1": 1})
     lp.add_constraint({}, exactlp.GE, 0)
     lp.add_constraint({"x1": 1}, exactlp.LE, 1)
     s = exactlp.solve(lp)
     assert s.values == {"x0": 0, "x1": 1}
-    assert (s.phase1_pivots, s.driveout_pivots, s.phase2_pivots) == (0, 1, 1)
+    assert (s.phase1_pivots, s.phase2_pivots) == (0, 1)
+    assert exactlp.check_certificates(lp, s) == []
+
+
+def test_leftover_artificial_leaves_on_a_negative_entry():
+    # phase 1 leaves the artificial of -x0 >= 0 basic at 0.  x0 enters phase 2
+    # with entry -1 in that row: the ratio test must still pick the row, as a
+    # zero step, or x0 would rise to 1 and break -x0 >= 0
+    lp = exactlp.LpProblem("negative-entry", "min", ["x0"])
+    lp.set_objective({"x0": -1})
+    lp.add_constraint({"x0": -1}, exactlp.GE, 0)
+    lp.add_constraint({"x0": 1}, exactlp.LE, 1)
+    s = exactlp.solve(lp)
+    assert s.values == {"x0": 0}
+    assert s.objective == 0
+    assert s.duals == (1, 0)
+    assert s.defining_rows == {0}
+    assert (s.phase1_pivots, s.phase2_pivots) == (0, 1)
+    assert exactlp.check_certificates(lp, s) == []
 
 
 def test_determinism():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from netbargain import cli
 from netbargain import graphcore as gc
-from netbargain.errors import InputError, InternalInvariantError
+from netbargain.errors import InputError, InternalInvariantError, PreconditionError
 
 import corpus
 import densitybrute
@@ -297,6 +297,19 @@ def test_pull_back_averages_asymmetric_mass():
     x_host[u1] = Fraction(1)
     x, _ = gc.pull_back(d, x_host, [])
     assert x["u"] == Fraction(1, 2)
+
+
+def test_pull_back_rejects_an_edge_outside_the_host():
+    d = gc.bipartite_double(corpus.single_edge())
+    with pytest.raises(PreconditionError, match="edges not in host graph"):
+        gc.pull_back(d, {}, [("u", "v")])
+
+
+def test_pull_back_rejects_a_negative_copy():
+    d = gc.bipartite_double(corpus.single_edge())
+    u1, _ = d.side_map["u"]
+    with pytest.raises(PreconditionError, match="negative host allocation"):
+        gc.pull_back(d, {u1: Fraction(-1)}, [])
 
 
 @given(random_graphs(max_n=6), st.data())
