@@ -352,7 +352,6 @@ class BalancedOutcome:
     matching: tuple[Edge, ...]
     allocation: dict[str, Fraction]
     alternatives: dict[str, Fraction]
-    cover_ok: dict[Edge, bool]
     balance_residual: dict[Edge, Fraction]
     lp_solves: int
     shifts: int
@@ -396,7 +395,6 @@ def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOu
         ]
         alternatives[v] = max(options) if options else _Z
 
-    cover_ok = {e: x[e[0]] + x[e[1]] >= 1 for e in gprime.edges}
     residual: dict[Edge, Fraction] = {}
     for u, v in mprime.edges:
         lhs = x[u] - alternatives[u]
@@ -412,14 +410,13 @@ def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOu
 
     if sum(x.values(), _Z) > nu:
         raise InternalInvariantError("balanced allocation exceeds the matching number")
-    if not all(cover_ok.values()):
+    if uncovered_edge(gprime.edges, x) is not None:
         raise InternalInvariantError("balanced allocation uncovers a residual edge")
 
     return BalancedOutcome(
         matching=mprime.edges,
         allocation=x,
         alternatives=alternatives,
-        cover_ok=cover_ok,
         balance_residual=residual,
         lp_solves=run.lp_solves,
         shifts=run.shifts,

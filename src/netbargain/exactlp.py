@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -296,7 +296,7 @@ def solve(p: LpProblem) -> LpSolution:
             cost1[c] = 1
         status = tab.run(cost1, frozenset())
         if status != OPTIMAL:
-            raise AssertionError("phase 1 cannot be unbounded")
+            raise InternalInvariantError("phase 1 cannot be unbounded")
         counts["phase1_pivots"] = tab.pivots
         _, priced = tab.priced(cost1)
         if sum(w * row[-1] for row, w in priced) > 0:

@@ -1,10 +1,9 @@
 """Independent brute-force ground truth and instance generators.
 
-The yes/no answers share no algorithmic code with the main pipeline, so they
-can serve as test oracles: fractional covers come from a Hopcroft-Karp
-matching of a local two-copy graph, blocking sets from subset enumeration.
-Only `_cover_witness` (an `exactlp` solve, checked by `uncovered_edge`)
-and `gen_sparse` (`compute_sparsity`) call into the pipeline.
+The answers share no algorithmic code with the main pipeline, so they can
+serve as test oracles: fractional covers and their witnesses come from a
+Hopcroft-Karp matching of a local two-copy graph, blocking sets from subset
+enumeration.  Only `gen_sparse` (`compute_sparsity`) calls into the pipeline.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from . import exactlp
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .graphcore import Edge, Graph, compute_sparsity, edge_key, uncovered_edge
+from .graphcore import Edge, Graph, compute_sparsity, edge_key
 
 #: size caps, checked before anything is built: gen_gap makes 2n^2
 #: protected edges, gen_sparse draws from all n(n-1)/2 vertex pairs, and
@@ -109,14 +107,15 @@ def gen_sparse(
 # blocking sets by enumeration
 
 
-def _augmenting_matching(adj: dict[str, list[str]], left: list[str]) -> int:
-    """Maximum matching size of a bipartite adjacency, by Hopcroft-Karp.
+def _augmenting_matching(adj: dict[str, list[str]], left: list[str]) -> tuple[dict[str, str], set[str]]:
+    """Maximum matching of a bipartite adjacency, by Hopcroft-Karp.
 
     Each phase layers the left vertices by a breadth-first search from the
     exposed ones, up to the length of a shortest augmenting path, then
     augments along vertex-disjoint shortest paths.  Their depth-first
     searches keep the path on an explicit stack, so that no path length
-    meets the recursion limit.  O(m sqrt(n)) in all.
+    meets the recursion limit.  O(m sqrt(n)) in all.  Returns the matching,
+    left to right, and the left vertices that the last, failed search reached.
     """
     mate_l: dict[str, str] = {}
     mate_r: dict[str, str] = {}
@@ -137,7 +136,7 @@ def _augmenting_matching(adj: dict[str, list[str]], left: list[str]) -> int:
                     layer[x] = d + 1
                     queue.append(x)
         if last < 0:
-            return len(mate_l)
+            return mate_l, set(layer)
         for root in roots:
             # stack[i] is a left vertex and its untried neighbours; path[i] the
             # right vertex taken from it, matched to stack[i + 1]
@@ -165,21 +164,42 @@ def _augmenting_matching(adj: dict[str, list[str]], left: list[str]) -> int:
                 stack.append((x, iter(adj[x])))
 
 
+def _two_copy(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, list[str]]:
+    """Left copies v/L to their sorted right copies: edge uv gives arcs u/L-v/R and v/L-u/R."""
+    adj: dict[str, list[str]] = {f"{v}/L": [] for v in sorted(set(vertices))}
+    for u, v in edges:
+        adj[f"{u}/L"].append(f"{v}/R")
+        adj[f"{v}/L"].append(f"{u}/R")
+    return {u: sorted(ws) for u, ws in adj.items()}
+
+
 def fractional_cover_value(vertices: Iterable[str], edges: Iterable[Edge]) -> Fraction:
     """Smallest total of a fractional cover putting weight >= 1 on every edge.
 
     Computed combinatorially as half the matching number of the local
     two-copy graph; no LP involved.
     """
-    vs = sorted(set(vertices))
-    adj: dict[str, list[str]] = {f"{v}/L": [] for v in vs}
-    for u, v in edges:
-        adj[f"{u}/L"].append(f"{v}/R")
-        adj[f"{v}/L"].append(f"{u}/R")
-    for lst in adj.values():
-        lst.sort()
-    size = _augmenting_matching(adj, [f"{v}/L" for v in vs])
-    return Fraction(size, 2)
+    adj = _two_copy(vertices, edges)
+    return Fraction(len(_augmenting_matching(adj, list(adj))[0]), 2)
+
+
+def fractional_cover(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, Fraction]:
+    """A smallest fractional cover, x_v = |C & {v/L, v/R}| / 2 for a König cover C.
+
+    C is the left copies that the last search of the two-copy matching M did
+    not reach plus the right neighbours of those it did.  C covers every arc
+    and |C| = |M|, which proves both optimal; all three facts are checked.
+    """
+    adj = _two_copy(vertices, edges)
+    mate_l, reached = _augmenting_matching(adj, list(adj))
+    if any(r not in adj[u] for u, r in mate_l.items()) or len(set(mate_l.values())) < len(mate_l):
+        raise InternalInvariantError("two-copy matching is not a matching of its arcs")
+    cover = {u for u in adj if u not in reached} | {w for u in reached for w in adj[u]}
+    if bare := next(((u, w) for u in adj for w in adj[u] if u not in cover and w not in cover), None):
+        raise InternalInvariantError(f"König cover misses the arc {bare[0]}-{bare[1]}")
+    if len(cover) != len(mate_l):
+        raise InternalInvariantError(f"König cover has {len(cover)} copies for {len(mate_l)} matched")
+    return {u[:-2]: Fraction((u in cover) + (u[:-1] + "R" in cover), 2) for u in adj}
 
 
 def blocking_feasible(g: Graph, blocked: Iterable[Edge], nu: int) -> bool:
@@ -195,25 +215,6 @@ class BruteForceResult:
     blocking_set: tuple[Edge, ...] | None
     witness: dict[str, Fraction] | None
     candidates_checked: int
-
-
-def _cover_witness(g: Graph, blocked: set[Edge], nu: int) -> dict[str, Fraction]:
-    remaining = [e for e in g.edges if e not in blocked]
-    names = [f"x {v}" for v in g.vertices]
-    lp = exactlp.LpProblem("cover-witness", "min", names)
-    lp.set_objective({nm: 1 for nm in names})
-    for u, v in remaining:
-        lp.add_constraint({f"x {u}": 1, f"x {v}": 1}, exactlp.GE, 1, name=f"edge {u} {v}")
-    sol = exactlp.solve(lp)
-    if sol.status != exactlp.OPTIMAL:
-        raise InternalInvariantError(f"cover witness LP not optimal: {sol.status}")
-    x = {v: sol.values[f"x {v}"] for v in g.vertices}
-    if sum(x.values(), Fraction(0)) > nu:
-        raise InternalInvariantError(f"cover witness exceeds nu = {nu}")
-    bare = uncovered_edge(remaining, x)
-    if bare is not None:
-        raise InternalInvariantError(f"cover witness uncovers {bare[0]}-{bare[1]}")
-    return x
 
 
 def brute_min_blocking_set(
@@ -246,6 +247,8 @@ def brute_min_blocking_set(
         for combo in combinations(pool, k):
             checked += 1
             if blocking_feasible(g, combo, nu):
-                witness = _cover_witness(g, set(combo), nu)
+                witness = fractional_cover(g.vertices, [e for e in g.edges if e not in combo])
+                if sum(witness.values(), Fraction(0)) > nu:
+                    raise InternalInvariantError(f"cover witness exceeds nu = {nu}")
                 return BruteForceResult(True, combo, witness, checked)
     return BruteForceResult(False, None, None, checked)

@@ -6,7 +6,7 @@ from hypothesis import strategies as hst
 
 from netbargain import bargain, blockset, matching, oracle
 from netbargain.errors import InputError, InternalInvariantError, PreconditionError
-from netbargain.graphcore import Graph
+from netbargain.graphcore import Graph, uncovered_edge
 
 import corpus
 import surplusbrute
@@ -252,7 +252,7 @@ def test_balanced_outcome_path_residual():
     assert out.allocation == {"a": F(0), "b": F(1), "c": F(0)}
     assert out.alternatives == {"a": F(0), "b": F(1), "c": F(0)}
     assert out.balance_residual == {("a", "b"): F(0)}
-    assert all(out.cover_ok.values())
+    assert uncovered_edge([("a", "b"), ("b", "c")], out.allocation) is None
 
 
 def test_balanced_outcome_p4():

@@ -5,13 +5,12 @@ import os
 import resource
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netbargain import blockset, cli, exactlp, matching
+from netbargain import blockset, cli, exactlp, matching, oracle
 
 import corpus
 
@@ -154,16 +153,15 @@ def test_oracle_min_blockset_k3(capsys, k3_file):
     assert report["opt_size"] == 1
 
 
-def test_oracle_min_blockset_wrong_cover_witness_exit_2(capsys, monkeypatch, k3_file):
-    # a witness LP answer of all zeros uncovers an unblocked edge: a solver bug
-    def zeros(lp):
-        return exactlp.LpSolution(exactlp.OPTIMAL, dict.fromkeys(lp.variables, Fraction(0)), Fraction(0))
-
-    monkeypatch.setattr(exactlp, "solve", zeros)
-    code, out, err = run(capsys, "oracle", "min-blockset", k3_file)
+def test_oracle_min_blockset_bad_konig_cover_exit_2(capsys, monkeypatch, p3_file):
+    # a search that reports no reached vertex makes C every left copy: 3 copies
+    # for a matching of 2 on P3's two-copy graph, which is a solver bug
+    augment = oracle._augmenting_matching
+    monkeypatch.setattr(oracle, "_augmenting_matching", lambda adj, left: (augment(adj, left)[0], set()))
+    code, out, err = run(capsys, "oracle", "min-blockset", p3_file)
     assert code == 2
     assert out == ""
-    assert "cover witness uncovers" in err
+    assert "König cover has 3 copies for 2 matched" in err
 
 
 def test_oracle_min_blockset_gap1_uses_instance(capsys, gap1_file):
@@ -429,6 +427,41 @@ def test_instance_json_bad_field_exit_1(capsys, tmp_path, field, value):
     code, _, err = run(capsys, "stabilize", _instance_file(tmp_path, **{field: value}))
     assert code == 1
     assert field in err and "internal" not in err
+
+
+def _json(drop=(), **fields):
+    obj = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+           "e1": [["a", "b"]], "e2": [["b", "c"]], "nu": 1, **fields}
+    return json.dumps({k: v for k, v in obj.items() if k not in drop})
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ('{"vertices": [', (), "invalid JSON"),
+        (_json(drop=("nu",)), (), "missing nu"),
+        (_json(nu=-1), (), "nonnegative"),
+        (_json(e2=[["a", "b"], ["b", "c"]]), (), "overlap"),
+        (_json(e2=[]), (), "partition"),
+        (_json(drop=("vertices", "e1", "e2", "nu")), (), "'vertices' and 'edges'"),
+        (_json(drop=("e1", "e2", "nu"), vertices="abc"), (), "list of strings"),
+        (_json(drop=("e1", "e2", "nu"), edges=[["a", "a"]]), (), "self-loop"),
+        (_json(drop=("e1", "e2", "nu"), vertices=["a b"]), (), "invalid vertex name"),
+        (_json(drop=("e1", "e2", "nu"), vertices=[""]), (), "invalid vertex name"),
+        (None, ("gen", "sparse", "--n", "4", "--omega", "1/2", "--seed", "1"), "at least 1"),
+        (None, ("gen", "sparse", "--n", "4", "--omega", "1", "--edges", "6", "--seed", "1"),
+         "could not sample"),
+    ],
+    ids=["invalid-json", "no-nu", "negative-nu", "overlapping-classes", "classes-not-partition",
+         "no-vertices", "vertices-string", "self-loop", "whitespace-name", "empty-name",
+         "omega-below-1", "omega-unreachable"],
+)
+def test_malformed_input_exit_1(capsys, tmp_path, text, argv, message):
+    if text is not None:
+        argv = ("analyze", write(tmp_path, "in.json", text))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err and "internal" not in err
 
 
 @pytest.mark.parametrize("command", ["stabilize", "balance"])

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import networkx as nx
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from netbargain import exactlp, oracle
 from netbargain.errors import InputError, PreconditionError
-from netbargain.graphcore import Graph, compute_sparsity
+from netbargain.graphcore import Graph, compute_sparsity, uncovered_edge
 
 import corpus
 from matchbrute import brute_max_matching
@@ -118,8 +120,15 @@ def test_augmenting_matching_agrees_with_networkx(case):
     g.add_nodes_from(left)
     g.add_edges_from((u, w) for u in left for w in adj[u])
     # networkx returns each matched pair in both directions
-    want = len(nx.bipartite.maximum_matching(g, top_nodes=left)) // 2
-    assert oracle._augmenting_matching(adj, left) == want
+    nx_matching = nx.bipartite.maximum_matching(g, top_nodes=left)
+    mate_l, reached = oracle._augmenting_matching(adj, left)
+    assert len(mate_l) == len(nx_matching) // 2
+    assert all(r in adj[u] for u, r in mate_l.items())
+    assert len(set(mate_l.values())) == len(mate_l)
+    # the König cover read off the last search is as small as networkx's
+    cover = {u for u in left if u not in reached} | {w for u in reached for w in adj[u]}
+    assert all(u in cover or w in cover for u in left for w in adj[u])
+    assert len(cover) == len(nx.bipartite.to_vertex_cover(g, nx_matching, top_nodes=left))
 
 
 # -- blocking set enumeration ------------------------------------------------------
@@ -181,8 +190,26 @@ def test_feasibility_agrees_with_lp_on_random_candidates():
             k = rng.randint(0, min(3, g.m))
             blocked = set(rng.sample(list(g.edges), k))
             by_matching = oracle.blocking_feasible(g, blocked, nu)
-            by_lp = _lp_cover_value(g, blocked) <= nu
-            assert by_matching == by_lp
+            lp_value = _lp_cover_value(g, blocked)
+            assert by_matching == (lp_value <= nu)
+            remaining = [e for e in g.edges if e not in blocked]
+            witness = oracle.fractional_cover(g.vertices, remaining)
+            assert sum(witness.values(), F(0)) == lp_value
+            assert uncovered_edge(remaining, witness) is None
+
+
+def test_oracle_shares_no_solver_with_the_pipeline():
+    # the oracle is ground truth only while it imports no pipeline solver
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("netbargain"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("netbargain")}
+    assert imported == {"errors", "graphcore"}
 
 
 # -- outcome verification -----------------------------------------------------------
