@@ -5,8 +5,9 @@ number that covers every remaining edge can be driven to a state where,
 for every remaining edge ij, the best outside option of i against j
 equals that of j against i.  With a maximum matching this is exactly the
 per-edge Nash split relative to outside options.  The best option of i
-against j is 1 - x_i - x_k for the cheapest neighbour k != j of i, so
-every surplus at i is read off i's two cheapest neighbours.
+against j is 1 - x_i - x_k for the cheapest neighbour k != j of i, or
+0 - x_i when i has no other neighbour, so every surplus at i is read off
+i's two cheapest neighbours.
 
 The driver alternates two moves, both exact over rationals:
 
@@ -16,6 +17,9 @@ The driver alternates two moves, both exact over rationals:
   * an acceleration LP that pushes every surplus outside the frozen top
     group as low as possible, forcing the frozen group to grow.
 
+Every acceleration LP answer passes `exactlp.certified`, and the run
+checks its final allocation once: the start's total, a cover of every
+edge, no negative share and every edge balanced.
 Work is capped at |E'| LP solves and |E'|^2 transfers; exceeding either
 cap signals an implementation bug, never an input problem.
 """
@@ -37,37 +41,27 @@ _Z = Fraction(0)
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class SurplusTerm:
-    """One candidate outside option: a constant minus an allocation sum.
-
-    Ordinary terms are 1 - x_i - x_k for an edge ik; a vertex with no
-    alternative neighbour gets the degenerate term 0 - x_i.
-    """
-
-    constant: int
-    members: tuple[str, ...]
-
-    def value(self, x: Mapping[str, Fraction]) -> Fraction:
-        return self.constant - sum((x[m] for m in self.members), _Z)
+def _option(x: Mapping[str, Fraction], i: str, k: str | None) -> Fraction:
+    """The outside option of i through neighbour k: 1 - x_i - x_k, or 0 - x_i for None."""
+    return -x[i] if k is None else 1 - x[i] - x[k]
 
 
 @dataclass(frozen=True)
 class SurplusState:
     """All directed surpluses of an allocation plus the derived quantities.
 
-    s[(i, j)] is the best outside option of i ignoring j; term[(i, j)]
-    records which option attains it (ties: smallest neighbour).  s_max is
-    the largest surplus among unbalanced pairs (None when balanced),
-    upper_pairs the pairs strictly above it, level_pairs those exactly at
-    it, and delta_cap the smallest surplus inside upper_pairs (0 when
-    empty).
+    s[(i, j)] is the best outside option of i ignoring j; via[(i, j)] is
+    the neighbour whose option attains it (ties: smallest neighbour), None
+    when i has no neighbour but j.  s_max is the largest surplus among
+    unbalanced pairs (None when balanced), upper_pairs the pairs strictly
+    above it, level_pairs those exactly at it, and delta_cap the smallest
+    surplus inside upper_pairs (0 when empty).
     """
 
     graph: Graph
     x: dict[str, Fraction]
     s: dict[Pair, Fraction]
-    term: dict[Pair, SurplusTerm]
+    via: dict[Pair, str | None]
     violated: tuple[Pair, ...]
     s_max: Fraction | None
     upper_pairs: frozenset[Pair]
@@ -78,11 +72,6 @@ class SurplusState:
         return frozenset(edge_key(i, j) for i, j in self.level_pairs)
 
 
-def _outside_options(g: Graph, i: str, j: str) -> list[SurplusTerm]:
-    """The outside options of i against j, in neighbour order (the cap rows)."""
-    return [SurplusTerm(1, (i, k)) for k in g.neighbors(i) if k != j] or [SurplusTerm(0, (i,))]
-
-
 def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     """Evaluate every directed surplus of adjacent pairs under x."""
     if set(x) != set(g.vertices):
@@ -90,13 +79,12 @@ def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
     xs = {v: Fraction(x[v]) for v in g.vertices}
     cheapest = {i: sorted(g.neighbors(i), key=lambda k: (xs[k], k))[:2] for i in g.vertices}
     s: dict[Pair, Fraction] = {}
-    term: dict[Pair, SurplusTerm] = {}
+    via: dict[Pair, str | None] = {}
     for u, v in g.edges:
         for i, j in ((u, v), (v, u)):
             k = next((k for k in cheapest[i] if k != j), None)
-            t = SurplusTerm(0, (i,)) if k is None else SurplusTerm(1, (i, k))
-            s[(i, j)] = t.value(xs)
-            term[(i, j)] = t
+            s[(i, j)] = _option(xs, i, k)
+            via[(i, j)] = k
 
     violated = tuple(
         sorted((p for p in s if s[p] > s[(p[1], p[0])]), key=lambda p: (-s[p], p))
@@ -115,7 +103,7 @@ def surpluses(g: Graph, x: Mapping[str, Fraction]) -> SurplusState:
         graph=g,
         x=xs,
         s=s,
-        term=term,
+        via=via,
         violated=violated,
         s_max=s_max,
         upper_pairs=upper,
@@ -160,7 +148,7 @@ def maschler_shift(st: SurplusState) -> SurplusState:
     for p in st.upper_pairs:
         if after.s[p] != st.s[p]:
             raise InternalInvariantError(f"frozen pair {p} changed surplus")
-        if st.term[p].value(x2) != st.term[p].value(st.x):
+        if _option(x2, p[0], st.via[p]) != _option(st.x, p[0], st.via[p]):
             raise InternalInvariantError(f"frozen pair {p} changed defining-option value")
     if sum(x2.values(), _Z) != sum(st.x.values(), _Z):
         raise InternalInvariantError("transfer changed the allocation total")
@@ -194,20 +182,20 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
     frozen = sorted(st.upper_pairs)
     seen_freeze: set[tuple] = set()
     for i, j in frozen:
-        t = st.term[(i, j)]
-        key = (t.constant, tuple(sorted(t.members)))
+        members = (i,) if st.via[(i, j)] is None else (i, st.via[(i, j)])
+        key = tuple(sorted(members))
         if key in seen_freeze:
             continue
         seen_freeze.add(key)
         lp.add_constraint(
-            {_var(m): 1 for m in t.members},
+            {_var(m): 1 for m in members},
             exactlp.EQ,
-            sum((st.x[m] for m in t.members), _Z),
-            name=f"freeze {' '.join(t.members)}",
+            sum((st.x[m] for m in members), _Z),
+            name=f"freeze {' '.join(members)}",
         )
     for i, j in frozen:
-        # a frozen term is an edge term (1, (i, k*)) whenever i has another k
-        best = st.term[(i, j)].members[-1]
+        # i has no other alternative when no neighbour defines its option
+        best = st.via[(i, j)]
         for k in g.neighbors(i):
             if k not in (j, best):
                 lp.add_constraint(
@@ -219,16 +207,18 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
         for i, j in ((u, v), (v, u)):
             if (i, j) in st.upper_pairs:
                 continue
-            for t in _outside_options(g, i, j):
-                key = (t.constant, tuple(sorted(t.members)))
+            for k in [w for w in g.neighbors(i) if w != j] or [None]:
+                members = (i,) if k is None else (i, k)
+                key = tuple(sorted(members))
                 if key in seen_caps:
                     continue
                 seen_caps.add(key)
-                coeffs = {_var(m): -1 for m in t.members}
+                coeffs = {_var(m): -1 for m in members}
                 coeffs["delta"] = Fraction(1)
+                constant = len(members) - 1
                 lp.add_constraint(
-                    coeffs, exactlp.LE, st.delta_cap - t.constant,
-                    name=f"cap {t.constant} {' '.join(t.members)}",
+                    coeffs, exactlp.LE, st.delta_cap - constant,
+                    name=f"cap {constant} {' '.join(members)}",
                 )
     for u, v in g.edges:
         lp.add_constraint({_var(u): 1, _var(v): 1}, exactlp.GE, 1, name=f"cover {u} {v}")
@@ -268,12 +258,7 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
         s_str = f"{st.s_max.numerator}/{st.s_max.denominator}"
 
         lp = build_delta_lp(st)
-        sol = exactlp.solve(lp)
-        if sol.status != exactlp.OPTIMAL:
-            raise InternalInvariantError(f"acceleration LP not optimal: {sol.status}")
-        bad = exactlp.check_certificates(lp, sol)
-        if bad:
-            raise InternalInvariantError(f"acceleration LP not certified: {'; '.join(bad)}")
+        sol = exactlp.certified(lp, exactlp.solve(lp))
         y = {v: sol.values[_var(v)] for v in g.vertices}
         st_y = surpluses(g, y)
         if st_y.violated:
@@ -407,11 +392,6 @@ def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOu
             raise InternalInvariantError(f"balance criteria disagree on {u}-{v}")
         if not balanced_by_alpha:
             raise InternalInvariantError(f"matching edge {u}-{v} left unbalanced")
-
-    if sum(x.values(), _Z) > nu:
-        raise InternalInvariantError("balanced allocation exceeds the matching number")
-    if uncovered_edge(gprime.edges, x) is not None:
-        raise InternalInvariantError("balanced allocation uncovers a residual edge")
 
     return BalancedOutcome(
         matching=mprime.edges,

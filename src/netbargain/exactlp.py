@@ -15,7 +15,8 @@ and its row is not defining while it is basic.  `violations` checks any
 point against an LP's rows and nonnegativity, and `check_certificates`
 proves an optimal answer by its duals.  Both work in exact integer
 arithmetic and build a `Fraction` only to word a finding and to compare
-the duality gap.
+the duality gap.  `certified` is the one gate for an answer, solved or
+built by the caller: it passes only what `check_certificates` proves.
 
 Pivoting uses Bland's rule over the canonical variable order, which
 guarantees termination and makes every solve deterministic.
@@ -438,3 +439,15 @@ def check_certificates(p: LpProblem, s: LpSolution) -> list[str]:
     if s.objective != dual_value:
         out.append(f"duality gap: primal {s.objective} vs dual {dual_value}")
     return out
+
+
+def certified(p: LpProblem, s: LpSolution) -> LpSolution:
+    """`s`, once proven an optimal answer of `p`; otherwise raises
+    `InternalInvariantError` naming `p` and the status or the findings.
+    """
+    if s.status != OPTIMAL:
+        raise InternalInvariantError(f"{p.name} LP not optimal: {s.status}")
+    bad = check_certificates(p, s)
+    if bad:
+        raise InternalInvariantError(f"{p.name} LP not certified: {'; '.join(bad)}")
+    return s

@@ -156,15 +156,20 @@ def graph_from_json_obj(obj: object) -> Graph:
     return Graph.build(json_pairs(obj, "edges"), vertices)
 
 
+def _dot_id(v: str) -> str:
+    """`v` as a quoted DOT ID: a backslash and a double quote are escaped."""
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Graph, dashed_edges: Iterable[Edge] = (), name: str = "G") -> str:
     """DOT export; edges listed in `dashed_edges` are styled dashed."""
     dashed = {edge_key(*e) for e in dashed_edges}
     lines = [f"graph {name} {{"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for u, v in g.edges:
         style = " [style=dashed]" if (u, v) in dashed else ""
-        lines.append(f'  "{u}" -- "{v}"{style};')
+        lines.append(f"  {_dot_id(u)} -- {_dot_id(v)}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

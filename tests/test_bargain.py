@@ -26,7 +26,7 @@ def test_surpluses_p3_core_point():
     g = corpus.p3()
     st = bargain.surpluses(g, alloc(g, b=1))
     assert st.s[("a", "b")] == 0  # no alternative neighbour: degenerate term
-    assert st.term[("a", "b")] == bargain.SurplusTerm(0, ("a",))
+    assert st.via[("a", "b")] is None
     assert st.s[("b", "a")] == 0
     assert st.s[("b", "c")] == 0
     assert st.s[("c", "b")] == 0
@@ -48,14 +48,14 @@ def test_surpluses_p4():
     st = bargain.surpluses(g, alloc(g, b=1, c=1))
     assert st.s[("a", "b")] == 0
     assert st.s[("b", "a")] == -1
-    assert st.term[("b", "a")] == bargain.SurplusTerm(1, ("b", "c"))
+    assert st.via[("b", "a")] == "c"
 
 
 def test_surplus_defining_term_prefers_smallest_neighbour():
     g = corpus.star(3)  # hub with leaves leaf0 < leaf1 < leaf2, all at 0
     st = bargain.surpluses(g, alloc(g, hub=1))
     # all leaf options tie at 1 - 1 - 0: the smallest leaf defines the surplus
-    assert st.term[("hub", "leaf2")] == bargain.SurplusTerm(1, ("hub", "leaf0"))
+    assert st.via[("hub", "leaf2")] == "leaf0"
 
 
 def test_surpluses_requires_full_allocation():
@@ -90,7 +90,10 @@ def test_surpluses_match_every_option(case):
     got = bargain.surpluses(g, x)
     s, term = surplusbrute.brute_surpluses(g, x)
     assert list(got.s.items()) == list(s.items())
-    assert [(p, (t.constant, t.members)) for p, t in got.term.items()] == list(term.items())
+    # the oracle's term for a pair (i, j) is the option (1, (i, k)) through k, or (0, (i,))
+    assert [
+        (p, (0, (p[0],)) if k is None else (1, (p[0], k))) for p, k in got.via.items()
+    ] == list(term.items())
 
 
 # -- local transfers ----------------------------------------------------------
@@ -243,7 +246,6 @@ def test_balanced_outcome_path_residual():
         x_hat={"a": F(0), "b": F(1), "c": F(0)},
         root_lp_value=F(1),
         guarantee_factor=F(10),
-        bound_holds=True,
         trace=(),
         stats={},
     )
@@ -318,5 +320,5 @@ def test_trace_line_format():
 
 def test_acceleration_answer_is_certified(tampered_duals):
     g = corpus.single_edge()
-    with pytest.raises(InternalInvariantError, match="acceleration LP not certified"):
+    with pytest.raises(InternalInvariantError, match="surplus-acceleration LP not certified"):
         bargain._prekernel_run(g, {"u": F(1), "v": F(0)})

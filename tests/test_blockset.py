@@ -293,7 +293,7 @@ def test_stabilize_k3():
     assert len(r.blocking_set) >= 1
     assert r.root_lp_value == 1
     assert r.guarantee_factor == 10
-    assert r.bound_holds
+    assert len(r.blocking_set) <= r.guarantee_factor * r.root_lp_value
     opt = oracle.brute_min_blocking_set(g, 1)
     assert len(opt.blocking_set) == 1
     assert len(r.blocking_set) <= 10 * len(opt.blocking_set)
@@ -309,7 +309,7 @@ def test_stabilize_gap1_instance_exact_optimum():
     r = blockset.stabilize_instance(inst)
     assert len(r.blocking_set) == 8
     assert r.root_lp_value == 8
-    assert r.bound_holds
+    assert len(r.blocking_set) <= r.guarantee_factor * r.root_lp_value
     opt = oracle.brute_min_blocking_set(gap.graph, gap.nu, blockable=gap.e1)
     assert len(opt.blocking_set) == 8
 
@@ -334,7 +334,7 @@ def test_stabilize_gap2_instance_meets_bound():
     r = blockset.stabilize_instance(inst)
     assert r.root_lp_value == 8
     assert len(r.blocking_set) == 12  # matches the exhaustive optimum
-    assert r.bound_holds
+    assert len(r.blocking_set) <= r.guarantee_factor * r.root_lp_value
 
 
 def test_stabilize_deterministic():
@@ -358,7 +358,7 @@ def test_stabilize_respects_omega_override():
     g = corpus.k3()
     r = blockset.stabilize(g, omega=Fraction(2))
     assert r.guarantee_factor == 8 * 2 + 2
-    assert r.bound_holds
+    assert len(r.blocking_set) <= r.guarantee_factor * r.root_lp_value
 
 
 def test_bad_leaf_reached_on_star_instance():
@@ -450,13 +450,13 @@ def test_tampered_host_dual_breaks_the_averaged_certificate(monkeypatch):
         return replace(ep, duals=(ep.duals[0] + Fraction(1, 7),) + ep.duals[1:])
 
     monkeypatch.setattr(blockset, "solve_gbs_lp", tampering)
-    with pytest.raises(InternalInvariantError, match="averaged host root"):
+    with pytest.raises(InternalInvariantError, match="blockset LP not certified"):
         blockset.stabilize(corpus.k3())
 
 
 def test_relaxation_answer_is_certified(tampered_duals):
     _, inst = gap_instance(1)
-    with pytest.raises(InternalInvariantError, match="relaxation solution not certified"):
+    with pytest.raises(InternalInvariantError, match="blockset LP not certified"):
         blockset.solve_gbs_lp(inst)
 
 
@@ -494,7 +494,8 @@ def test_stable_root_is_settled_by_the_core_witness(g):
     r = blockset.stabilize(g)
     assert r.blocking_set == () and r.root_lp_value == 0
     assert r.x_hat == core.witness_allocation
-    assert r.guarantee_factor == factor and r.bound_holds
+    assert r.guarantee_factor == factor
+    assert len(r.blocking_set) <= r.guarantee_factor * r.root_lp_value
     assert r.trace == (f"step=1 case=core |V|={g.n} |E1|={g.m} |E2|=0 nu={core.nu}",)
     assert r.stats["lp_solves"] == 0
     # the rounding, run without the report, is the oracle: it proves the same zero root

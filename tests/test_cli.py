@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,22 @@ def test_oracle_min_blockset_bad_konig_cover_exit_2(capsys, monkeypatch, p3_file
     assert "König cover has 3 copies for 2 matched" in err
 
 
+def test_stabilize_doubled_answer_uncovering_an_edge_exit_2(capsys, monkeypatch, k3_file):
+    # K3 blocks a-b and a-c and gives b and c 1/2 each; a pull-back that drops
+    # c to 0 leaves the one unblocked edge b-c uncovered, which is a solver bug
+    pull_back = blockset.pull_back
+
+    def uncovering(d, xh, bh):
+        x, blocked = pull_back(d, xh, bh)
+        return {**x, "c": Fraction(0)}, blocked
+
+    monkeypatch.setattr(blockset, "pull_back", uncovering)
+    code, out, err = run(capsys, "stabilize", k3_file)
+    assert code == 2
+    assert out == ""
+    assert "I1 violated at b-c" in err
+
+
 def test_oracle_min_blockset_gap1_uses_instance(capsys, gap1_file):
     code, out, _ = run(capsys, "oracle", "min-blockset", gap1_file)
     report = json.loads(out)
@@ -298,6 +316,29 @@ def test_dot_export(capsys, k3_file, tmp_path):
     assert text.startswith("graph stabilized {")
     for u, v in report["blocking_set"]:
         assert f'"{u}" -- "{v}" [style=dashed];' in text
+
+
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'  # a quoted DOT ID: no bare quote, each backslash escapes
+
+
+def test_dot_export_escapes_quotes_and_backslashes(capsys, tmp_path):
+    # one name holds a double quote, and another ends in a backslash
+    path = write(tmp_path, "names.txt", 'a"b c\nc d\\\n')
+    dot = str(tmp_path / "g.dot")
+    code, _, _ = run(capsys, "stabilize", path, "--dot", dot)
+    assert code == 0
+    lines = open(dot).read().splitlines()
+    assert lines[0] == "graph stabilized {" and lines[-1] == "}"
+    vertex = re.compile(rf"  {_DOT_ID};")
+    edge = re.compile(rf"  {_DOT_ID} -- {_DOT_ID}(?: \[style=dashed\])?;")
+    vertices, edges = [], []
+    for line in lines[1:-1]:
+        m = vertex.fullmatch(line) or edge.fullmatch(line)
+        assert m, line
+        names = tuple(re.sub(r'\\(["\\])', r"\1", i) for i in m.groups())
+        (vertices if len(names) == 1 else edges).append(names)
+    assert vertices == [('a"b',), ("c",), ("d\\",)]
+    assert edges == [('a"b', "c"), ("c", "d\\")]
 
 
 @pytest.mark.parametrize(

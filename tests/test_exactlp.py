@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netbargain import exactlp
-from netbargain.errors import PreconditionError
+from netbargain import bargain, blockset, exactlp, matching
+from netbargain.errors import InternalInvariantError, PreconditionError
 
 import certbrute
+import corpus
 import lpbrute
 
 
@@ -442,3 +443,41 @@ def test_certificates_match_the_fraction_reference(lp, mutation, data):
     claimed = replace(s, values=values, duals=tuple(duals), objective=objective)
     assert exactlp.violations(lp, values) == certbrute.violations(lp, values)
     assert exactlp.check_certificates(lp, claimed) == certbrute.check_certificates(lp, claimed)
+
+
+# -- the callers take only certified answers -----------------------------------
+
+
+def _round_p4():
+    blockset.solve_gbs_lp(blockset.root_instance(corpus.p4(), 2))
+
+
+def _balance_stable_tree():
+    # a stable tree: the rounding solves no LP, and balancing solves acceleration LPs
+    g = corpus.random_tree(10, 12)
+    bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
+
+
+@pytest.mark.parametrize(
+    "caller, lp_name", [(_round_p4, "blockset"), (_balance_stable_tree, "surplus-acceleration")]
+)
+def test_caller_rejects_an_answer_that_is_not_optimal(monkeypatch, caller, lp_name):
+    solved = []
+
+    def infeasible(lp):
+        solved.append(lp.name)
+        return exactlp.LpSolution(exactlp.INFEASIBLE)
+
+    monkeypatch.setattr(exactlp, "solve", infeasible)
+    with pytest.raises(InternalInvariantError, match=f"^{lp_name} LP not optimal: infeasible$"):
+        caller()
+    assert solved == [lp_name]
+
+
+def test_certified_returns_the_proven_answer_itself():
+    lp = fractional_matching_lp([("a", "b"), ("b", "c")], ["a", "b", "c"])
+    s = exactlp.solve(lp)
+    assert exactlp.certified(lp, s) is s
+    tampered = replace(s, duals=(s.duals[0] + Fraction(1, 7),) + s.duals[1:])
+    with pytest.raises(InternalInvariantError, match="^fm LP not certified: "):
+        exactlp.certified(lp, tampered)
