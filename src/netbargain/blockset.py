@@ -122,6 +122,8 @@ class BlockingSetResult:
     blocking_set: tuple[Edge, ...]
     x_hat: dict[str, Fraction]
     root_lp_value: Fraction
+    #: the computed sparsity of the input graph; `guarantee_factor` is derived from it
+    omega: Fraction
     guarantee_factor: Fraction
     trace: tuple[str, ...]
     stats: dict[str, int]
@@ -437,18 +439,16 @@ def _stats(nodes: list[_Node]) -> dict[str, int]:
     }
 
 
-def ir_solve(
-    inst: GbsInstance, omega: Fraction | None = None
-) -> tuple[dict[str, Fraction], frozenset[Edge]]:
+def ir_solve(inst: GbsInstance) -> tuple[dict[str, Fraction], frozenset[Edge]]:
     """Run the rounding recursion on a bipartite instance.
 
     Returns the allocation and blocking set; the answer at every node has
-    passed the I1-I3 assertions against the node's own relaxation value.
+    passed the I1-I3 assertions against the node's own relaxation value,
+    with the factor 2*omega + 1 of the instance's computed sparsity.
     """
     if is_bipartite(inst.graph) is None:
         raise PreconditionError("rounding runs on bipartite instances; see stabilize()")
-    om = Fraction(omega) if omega is not None else compute_sparsity(inst.graph).omega
-    x, blocked, _, _ = _ir(inst, om)
+    x, blocked, _, _ = _ir(inst, compute_sparsity(inst.graph).omega)
     return x, blocked
 
 
@@ -552,20 +552,20 @@ def _halved_host_value(
     return exactlp.certified(lp, averaged).objective
 
 
-def stabilize_instance(
-    inst: GbsInstance, omega: Fraction | None = None, core: CoreReport | None = None
-) -> BlockingSetResult:
+def stabilize_instance(inst: GbsInstance, core: CoreReport | None = None) -> BlockingSetResult:
     """Blocking set plus allocation with a certified approximation factor.
 
-    Bipartite graphs are rounded directly (factor 2*omega + 1); others go
-    through the two-copy reduction (factor 8*omega + 2).  The reported
-    relaxation value of the root instance is a lower bound on the optimum
-    blocking set size, so checking the answer's I3 against it certifies
-    the factor without knowing the optimum.  On the two-copy path that
-    value is half the host root's, proven by the averaged host point and
-    duals passing a dual certificate check on the root instance's own LP,
-    which is never solved.  Raises InputError when the budget cannot
-    cover the protected edges, where the relaxation has no solution.
+    omega is the sparsity of the graph, computed here exactly and returned
+    on the result; no caller can set it.  Bipartite graphs are rounded
+    directly (factor 2*omega + 1); others go through the two-copy
+    reduction (factor 8*omega + 2).  The reported relaxation value of the
+    root instance is a lower bound on the optimum blocking set size, so
+    checking the answer's I3 against it certifies the factor without
+    knowing the optimum.  On the two-copy path that value is half the host
+    root's, proven by the averaged host point and duals passing a dual
+    certificate check on the root instance's own LP, which is never
+    solved.  Raises InputError when the budget cannot cover the protected
+    edges, where the relaxation has no solution.
 
     `core` is the caller's `core_status` of the graph, and `inst` must then
     be the graph's root instance with the report's `nu`.  When that core is
@@ -577,9 +577,7 @@ def stabilize_instance(
     and I1-I3 of the answer are checked on it as on every other answer.
     """
     g = inst.graph
-    om = Fraction(omega) if omega is not None else compute_sparsity(g).omega
-    if om < 1:
-        raise PreconditionError("sparsity parameter must be at least 1")
+    om = compute_sparsity(g).omega
     if core is not None and (inst.e2 or inst.nu != core.nu):
         raise PreconditionError("a core report settles only the root instance of its graph")
     if inst.e2 and (need := fractional_matching_value(Graph(g.vertices, inst.e2))) > inst.nu:
@@ -608,17 +606,18 @@ def stabilize_instance(
         blocking_set=tuple(sorted(blocked)),
         x_hat=x,
         root_lp_value=root_value,
+        omega=om,
         guarantee_factor=factor,
         trace=_trace(nodes),
         stats=_stats(nodes),
     )
 
 
-def stabilize(g: Graph, omega: Fraction | None = None) -> BlockingSetResult:
+def stabilize(g: Graph) -> BlockingSetResult:
     """Stabilize a plain graph: every edge droppable, budget = matching number.
 
     Runs the core diagnosis first, so a stable graph is settled by its
     core witness, as the CLI settles it.
     """
     core = core_status(g)
-    return stabilize_instance(root_instance(g, core.nu), omega=omega, core=core)
+    return stabilize_instance(root_instance(g, core.nu), core=core)

@@ -65,7 +65,7 @@ def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise InputError(f"invalid JSON in {path}: {exc}") from None
         g = graph_from_json_obj(obj)
         inst = None
@@ -82,18 +82,6 @@ def _load_input(path: str) -> tuple[Graph, blockset.GbsInstance | None, bytes]:
                 raise InputError(f"bad instance JSON: {exc}") from None
         return g, inst, raw
     return parse_edge_list(text), None, raw
-
-
-def _resolve_omega(g: Graph, flag: str | None) -> Fraction:
-    computed = compute_sparsity(g).omega
-    if flag is None:
-        return computed
-    override = parse_rational(flag)
-    if override < 1:
-        raise InputError("--omega must be at least 1")
-    if override < computed:
-        raise InputError(f"--omega {override} is below the computed sparsity {computed}")
-    return override
 
 
 def _alloc_json(alloc: dict[str, Fraction]) -> dict[str, str]:
@@ -120,7 +108,7 @@ def _emit(report: dict) -> None:
 
 def _write_out(text: str, out: str | None) -> None:
     """Write `text` to the file `out`, or to stdout when there is none."""
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -139,24 +127,23 @@ def cmd_analyze(args) -> int:
     core, diagnosis = _core_section(g)
     report["core"] = core
     report["nu"] = diagnosis.nu
-    report["omega"] = rational_str(_resolve_omega(g, args.omega))
+    report["omega"] = rational_str(compute_sparsity(g).omega)
     _emit(report)
     return 0
 
 
 def _stabilize_sections(g, inst, raw, args) -> tuple[dict, blockset.BlockingSetResult]:
-    omega = _resolve_omega(g, args.omega)
     core, diagnosis = _core_section(g)
     # the core report settles the root instance; an instance JSON keeps its own split
     root_core = None
     if inst is None:
         inst, root_core = blockset.root_instance(g, diagnosis.nu), diagnosis
-    result = blockset.stabilize_instance(inst, omega=omega, core=root_core)
+    result = blockset.stabilize_instance(inst, core=root_core)
     report = _base_report(raw)
     report["core"] = core
     report["nu"] = inst.nu
     report["graph_nu"] = diagnosis.nu
-    report["omega"] = rational_str(omega)
+    report["omega"] = rational_str(result.omega)
     report["blocking_set"] = [list(e) for e in result.blocking_set]
     report["allocation"] = _alloc_json(result.x_hat)
     report["guarantee"] = {
@@ -166,7 +153,7 @@ def _stabilize_sections(g, inst, raw, args) -> tuple[dict, blockset.BlockingSetR
     }
     if args.trace:
         report.setdefault("traces", {})["blockset"] = list(result.trace)
-    if args.dot:
+    if args.dot is not None:
         _write_out(to_dot(g, result.blocking_set, name="stabilized"), args.dot)
     return report, result
 
@@ -244,7 +231,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("file", help="edge-list or instance-JSON input")
-        p.add_argument("--omega", metavar="P/Q", help="override the computed sparsity")
         p.add_argument("--trace", action="store_true", help="include per-step traces")
 
     p = sub.add_parser("analyze", help="matching number, sparsity, and stability status")

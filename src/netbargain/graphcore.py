@@ -106,17 +106,12 @@ def uncovered_edge(edges: Iterable[Edge], x: Mapping[str, Fraction]) -> Edge | N
 # parsing / serialization
 
 
-def parse_edge_list(text: bytes | str) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the whitespace edge-list format: one "u v" pair per line.
 
     Blank lines and lines starting with "#" are ignored.  Duplicate edge
     lines collapse to a single edge.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"input is not valid UTF-8: {exc}") from None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -53,7 +53,8 @@ def corpus_run():
         assert g.n <= 14 and g.m <= 18
         omega = compute_sparsity(g).omega
         assert omega <= 3
-        result = blockset.stabilize(g, omega=omega)
+        result = blockset.stabilize(g)
+        assert result.omega == omega
         opt = oracle.brute_min_blocking_set(g, matching.matching_number(g))
         assert opt.found
         core = matching.core_status(g)

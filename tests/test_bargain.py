@@ -245,6 +245,7 @@ def test_balanced_outcome_path_residual():
         blocking_set=(("a", "c"),),
         x_hat={"a": F(0), "b": F(1), "c": F(0)},
         root_lp_value=F(1),
+        omega=F(1),
         guarantee_factor=F(10),
         trace=(),
         stats={},

@@ -268,8 +268,8 @@ def test_ir_requires_bipartite():
 def test_ir_doubled_k3_meets_certified_bound():
     d = bipartite_double(corpus.k3())
     host_inst = blockset.GbsInstance(d.host, d.host.edges, (), 2)
-    omega_host = Fraction(2)  # twice the original graph's sparsity
-    x, blocked = blockset.ir_solve(host_inst, omega=omega_host)
+    omega_host = compute_sparsity(d.host).omega
+    x, blocked = blockset.ir_solve(host_inst)
     assert len(blocked) <= (2 * omega_host + 1) * relaxation_value(host_inst)
     for u, v in d.host.edges:
         if (u, v) not in blocked:
@@ -352,13 +352,6 @@ def test_trace_line_format():
         assert pattern.match(line), line
     steps = [int(line.split()[0].split("=")[1]) for line in r.trace]
     assert steps == list(range(1, len(steps) + 1))
-
-
-def test_stabilize_respects_omega_override():
-    g = corpus.k3()
-    r = blockset.stabilize(g, omega=Fraction(2))
-    assert r.guarantee_factor == 8 * 2 + 2
-    assert len(r.blocking_set) <= r.guarantee_factor * r.root_lp_value
 
 
 def test_bad_leaf_reached_on_star_instance():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -348,13 +349,40 @@ def test_dot_export_escapes_quotes_and_backslashes(capsys, tmp_path):
         ("balance", "{k3}", "--dot", "{directory}"),
         ("gen", "gap", "--n", "2", "--out", "{missing}/g.json"),
         ("gen", "sparse", "--n", "4", "--seed", "1", "--out", "{missing}/g.txt"),
+        ("stabilize", "{k3}", "--dot", ""),
+        ("gen", "gap", "--n", "1", "--out", ""),
     ],
 )
 def test_unwritable_output_path_exit_1(capsys, tmp_path, k3_file, argv):
     paths = {"k3": k3_file, "missing": str(tmp_path / "missing"), "directory": str(tmp_path)}
-    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
-    assert code == 1
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == ""
     assert "internal" not in err
+
+
+def _options(parser, path=()):
+    """The option strings of every leaf subcommand, keyed by its command path."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        flags = {f for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                 for f in a.option_strings}
+        return {" ".join(path): flags}
+    found = {}
+    for name, sub in subs[0].choices.items():
+        found.update(_options(sub, path + (name,)))
+    return found
+
+
+def test_option_set_is_pinned():
+    # a new flag is a new knob: add it here on purpose
+    assert _options(cli.build_parser()) == {
+        "analyze": {"--trace"},
+        "stabilize": {"--trace", "--dot"},
+        "balance": {"--trace", "--dot"},
+        "oracle min-blockset": {"--nu", "--max-size"},
+        "gen gap": {"--n", "--out"},
+        "gen sparse": {"--n", "--omega", "--seed", "--edges", "--out"},
+    }
 
 
 @pytest.mark.parametrize("argv", [("analyze",), ("stabilize",), ("balance",), ("oracle", "min-blockset")])
@@ -419,28 +447,27 @@ def test_bad_flag_exit_1(capsys, k3_file):
     assert code == 1
 
 
-def test_omega_below_computed_rejected(capsys, k3_file):
-    code, _, err = run(capsys, "stabilize", k3_file, "--omega", "1/2")
-    assert code == 1
+@pytest.mark.parametrize("command", ["analyze", "stabilize", "balance"])
+def test_omega_flag_rejected(capsys, k3_file, command):
+    code, out, err = run(capsys, command, k3_file, "--omega", "2")
+    assert code == 1 and out == ""
+    assert "--omega" in err and "internal" not in err
 
 
-def test_omega_override_accepted(capsys, k3_file):
-    code, out, _ = run(capsys, "stabilize", k3_file, "--omega", "2")
-    report = json.loads(out)
-    assert code == 0
-    assert report["guarantee"]["factor"] == "18/1"
-
-
-def test_omega_below_sparsity_rejected_beyond_enumeration(capsys, tmp_path):
+def test_computed_sparsity_reported_beyond_enumeration(capsys, tmp_path):
     # K5 plus a 20-vertex tail: 25 vertices, global density 6/5, sparsity 2
     ks = [f"k{i}" for i in range(5)]
     edges = [(a, b) for i, a in enumerate(ks) for b in ks[i + 1:]]
     tail = ["k0"] + [f"t{i:02d}" for i in range(20)]
     edges += list(zip(tail, tail[1:]))
     path = write(tmp_path, "k5tail.txt", "".join(f"{u} {v}\n" for u, v in edges))
-    code, _, err = run(capsys, "analyze", path, "--omega", "3/2")
-    assert code == 1
-    assert "computed sparsity 2" in err
+    for command in ("analyze", "stabilize", "balance"):
+        code, out, err = run(capsys, command, path)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["omega"] == "2/1"
+        if command != "analyze":
+            assert report["guarantee"]["factor"] == "18/1"
 
 
 def test_non_utf8_edge_list_exit_1(capsys, tmp_path):
@@ -489,13 +516,16 @@ def _json(drop=(), **fields):
         (_json(drop=("e1", "e2", "nu"), edges=[["a", "a"]]), (), "self-loop"),
         (_json(drop=("e1", "e2", "nu"), vertices=["a b"]), (), "invalid vertex name"),
         (_json(drop=("e1", "e2", "nu"), vertices=[""]), (), "invalid vertex name"),
+        ('{"vertices": ' + "[" * 100000 + "]" * 100000 + ', "edges": []}', (), "invalid JSON"),
+        ('{"vertices": [], "edges": [], "deep": ' + '{"a": ' * 100000 + "1" + "}" * 100001,
+         (), "invalid JSON"),
         (None, ("gen", "sparse", "--n", "4", "--omega", "1/2", "--seed", "1"), "at least 1"),
         (None, ("gen", "sparse", "--n", "4", "--omega", "1", "--edges", "6", "--seed", "1"),
          "could not sample"),
     ],
     ids=["invalid-json", "no-nu", "negative-nu", "overlapping-classes", "classes-not-partition",
          "no-vertices", "vertices-string", "self-loop", "whitespace-name", "empty-name",
-         "omega-below-1", "omega-unreachable"],
+         "nested-array", "nested-object", "omega-below-1", "omega-unreachable"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, text, argv, message):
     if text is not None:

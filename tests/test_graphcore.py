@@ -29,33 +29,33 @@ def random_graphs(draw, max_n=8, min_n=1):
 
 
 def test_parse_basic():
-    g = gc.parse_edge_list(b"a b\nb c")
+    g = gc.parse_edge_list("a b\nb c")
     assert g.vertices == ("a", "b", "c")
     assert g.edges == (("a", "b"), ("b", "c"))
 
 
 def test_parse_dedup():
-    g = gc.parse_edge_list(b"a b\na b")
+    g = gc.parse_edge_list("a b\na b")
     assert g.edges == (("a", "b"),)
 
 
 def test_parse_rejects_loop_with_line_number():
     with pytest.raises(InputError, match="line 1"):
-        gc.parse_edge_list(b"a a")
+        gc.parse_edge_list("a a")
 
 
 def test_parse_malformed_line():
     with pytest.raises(InputError, match="line 2"):
-        gc.parse_edge_list(b"a b\na b c")
+        gc.parse_edge_list("a b\na b c")
 
 
 def test_parse_comments_and_blanks():
-    g = gc.parse_edge_list(b"# header\n\na b\n  # trailing comment line\n")
+    g = gc.parse_edge_list("# header\n\na b\n  # trailing comment line\n")
     assert g.edges == (("a", "b"),)
 
 
 def test_parse_empty_file():
-    g = gc.parse_edge_list(b"")
+    g = gc.parse_edge_list("")
     assert g.n == 0 and g.m == 0
 
 
