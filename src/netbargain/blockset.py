@@ -4,10 +4,17 @@ A blocking set is a set of edges whose stability constraints may be
 dropped so that an allocation of the matching number covers everything
 else.  The rounding recursion works on a generalized instance (only a
 designated edge class is droppable, the budget is a parameter), peels
-off certified structure from an optimal basic solution of the exact
+off certified structure from an optimal solution of the exact
 relaxation, and falls back to a direct rounding step when the extreme
-point is uniformly fractional.  Three invariants are asserted at every
-node, and once more on the final answer, by one function:
+point is uniformly fractional.  The relaxation is answered by
+parametric minimum cut: on a bipartite instance the cover rows are
+totally unimodular, so a few cuts over the budget row's multiplier find
+two optimal covers whose mix is an optimal point, and the arc flows are
+its duals.  A mix with no good certificate is solved again by the exact
+simplex, whose vertex the bad-leaf rounding needs; that fallback is
+counted.  Every answer, either way, passes the LP certificate check.
+Three invariants are asserted at every node, and once more on the final
+answer, by one function:
 
   I1  the allocation covers every non-blocked edge,
   I2  the allocation total stays within the budget,
@@ -35,6 +42,7 @@ from .graphcore import (
     DoubledGraph,
     Edge,
     Graph,
+    _min_cut,
     bipartite_double,
     compute_sparsity,
     edge_key,
@@ -103,7 +111,14 @@ class BadPartition:
 
 @dataclass(frozen=True)
 class ExtremePoint:
-    """Optimal basic solution of the relaxation with tight-set bookkeeping."""
+    """Optimal solution of the relaxation with tight-set bookkeeping.
+
+    `method` says how it was answered: "simplex" (an optimal basic
+    solution, whose defining rows are `tight_e1`, `tight_e2` and, when
+    `budget_tight`, the budget row) or "cut" (a mix of two optimal
+    covers, a vertex or not, which names no defining cover rows; its
+    `budget_tight` says whether sum(x) = nu).
+    """
 
     x: dict[str, Fraction]
     z: dict[Edge, Fraction]
@@ -115,6 +130,7 @@ class ExtremePoint:
     classification: GoodCertificate | BadPartition | None
     #: row duals in the order `_build_lp` adds the rows: e1 covers, e2 covers, budget
     duals: tuple[Fraction, ...] = ()
+    method: str = "simplex"
 
 
 @dataclass(frozen=True)
@@ -174,36 +190,150 @@ def _uniform_alpha(values: Iterable[Fraction]) -> Fraction:
     return max(lo, 1 - lo)
 
 
-def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
-    """Optimal basic solution of the relaxation, classified when positive.
+def _cover_cut(
+    inst: GbsInstance, side: Mapping[str, int], lam: Fraction
+) -> tuple[int, frozenset[str], frozenset[Edge], list[int]]:
+    """A vertex set X minimizing lam*|X| + (droppable edges X leaves bare)
+    over the sets that cover every protected edge, as one minimum cut.
 
-    The instance graph must be bipartite: fractional solutions are
-    checked against the two-level value structure, and a returned
-    BadPartition has passed all shape checks.  Zero-value solutions are
-    never classified: the caller terminates on them directly.
+    With lam = p/q, s->u (colour 0) and v->t (colour 1) have capacity p
+    and each edge is an arc from its colour-0 end, of capacity q when
+    droppable and too heavy to cut when protected; X is the colour-0
+    vertices on the sink side and the colour-1 vertices on the source
+    side.  Returns the cut's capacity (q times the minimum), X, the
+    droppable edges X leaves bare and the flow on each edge arc, in the
+    order e1 then e2.
     """
-    lp, e1_rows, e2_rows, budget_row = _build_lp(inst)
-    sol = exactlp.certified(lp, exactlp.solve(lp))
     g = inst.graph
-    x = {v: sol.values[f"x {v}"] for v in g.vertices}
-    z = {(u, v): sol.values[f"z {u} {v}"] for u, v in inst.e1}
+    p, q = lam.numerator, lam.denominator
+    index = {v: i for i, v in enumerate(g.vertices)}
+    s, t = g.n, g.n + 1
+    # more than the cut that puts every vertex in X
+    heavy = p * g.n + q * len(inst.e1) + 1
+    arcs = [(s, i, p, 0) if side[v] == 0 else (i, t, p, 0) for i, v in enumerate(g.vertices)]
+    for edges, cap in ((inst.e1, q), (inst.e2, heavy)):
+        for u, v in edges:
+            if side[u]:
+                u, v = v, u
+            arcs.append((index[u], index[v], cap, 0))
+    flow, source_side, flows = _min_cut(g.n + 2, arcs, s, t)
+    cover = frozenset([v for i, v in enumerate(g.vertices) if (i in source_side) == (side[v] == 1)])
+    bare = frozenset([(u, v) for u, v in inst.e1 if u not in cover and v not in cover])
+    return flow, cover, bare, flows[g.n:]
 
-    tight_e1 = frozenset(e for e, row in e1_rows.items() if row in sol.defining_rows)
-    tight_e2 = frozenset(e for e, row in e2_rows.items() if row in sol.defining_rows)
-    budget_tight = budget_row in sol.defining_rows
-    fractional = any(
-        val.denominator != 1 for val in chain(x.values(), z.values())
+
+def _cut_answer(inst: GbsInstance, side: Mapping[str, int]) -> exactlp.LpSolution | None:
+    """An optimal answer of the relaxation of a bipartite instance, by
+    parametric minimum cut; None when no cover of e2 fits the budget.
+
+    The cover rows are totally unimodular, so for a multiplier lam of the
+    budget row the Lagrangian minimum is the best integral cover X, one
+    `_cover_cut`, and the relaxation value is the maximum over lam of
+    that minimum less lam*nu.  At lam = 1/(n+1) the cut is a minimum
+    vertex cover, which settles a relaxation of value 0 when it fits the
+    budget.  Otherwise Eisner-Severance search runs between it and the
+    cut at lam = |E1|+1, a minimum cover of e2: it cuts where the lines
+    of the two covers meet, and keeps the new cover on the side of nu its
+    size falls, until a cut finds nothing below both lines.  At that
+    lam* the covers X_a (at least nu vertices) and X_b (at most nu) are
+    both optimal, so theta*X_a + (1-theta)*X_b with sum(x) = nu is an
+    optimal point; the arc flows over q are the cover rows' duals and
+    -lam* the budget row's.  The caller certifies the answer.
+    """
+    g, nu = inst.graph, inst.nu
+    _, a, bare_a, _ = _cover_cut(inst, side, Fraction(1, g.n + 1))
+    if len(a) <= nu:
+        values = {f"x {v}": _ONE if v in a else _Z for v in g.vertices}
+        values.update({f"z {u} {v}": _Z for u, v in inst.e1})
+        return exactlp.LpSolution(exactlp.OPTIMAL, values, _Z, (_Z,) * (len(inst.e1) + len(inst.e2) + 1))
+    lam = Fraction(len(inst.e1) + 1)
+    _, b, bare_b, flows = _cover_cut(inst, side, lam)
+    if len(b) > nu:
+        return None
+    while len(b) < nu:
+        lam = Fraction(len(bare_b) - len(bare_a), len(a) - len(b))
+        flow, c, bare_c, flows = _cover_cut(inst, side, lam)
+        if flow == lam.numerator * len(a) + lam.denominator * len(bare_a):
+            break  # nothing below the two lines: lam is lam*
+        if len(c) >= nu:
+            a, bare_a = c, bare_c
+        if len(c) <= nu:
+            b, bare_b = c, bare_c
+    theta = Fraction(nu - len(b), len(a) - len(b)) if len(a) != len(b) else _ONE
+    # the point is theta on X_a's entries plus 1-theta on X_b's
+    level = {(True, True): _ONE, (True, False): theta, (False, True): 1 - theta, (False, False): _Z}
+    values = {f"x {v}": level[v in a, v in b] for v in g.vertices}
+    values.update({f"z {u} {v}": level[(u, v) in bare_a, (u, v) in bare_b] for u, v in inst.e1})
+    objective = theta * len(bare_a) + (1 - theta) * len(bare_b)
+    duals = tuple([Fraction(f, lam.denominator) for f in flows]) + (-lam,)
+    return exactlp.LpSolution(exactlp.OPTIMAL, values, objective, duals)
+
+
+def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
+    """Optimal solution of the relaxation of a bipartite instance,
+    classified when positive.
+
+    The relaxation is answered by parametric minimum cut (`_cut_answer`).
+    Cases 1-3 hold at any optimal point, so a cut answer with a good
+    certificate is kept.  Only the bad-leaf shape needs a vertex: a
+    positive cut answer with no good certificate, or an instance whose
+    protected edges no cover within the budget reaches, falls back to the
+    simplex.  Its optimal basic solution is classified like any other,
+    and one with no good certificate either is returned as a fully
+    validated BadPartition.  Every answer is certified on the LP
+    `_build_lp` builds, and a fractional one must be budget-tight and
+    two-level.  Zero-value solutions are never classified: the caller
+    terminates on them directly.
+    """
+    side = is_bipartite(inst.graph)
+    if side is None:
+        raise PreconditionError("the relaxation is answered on bipartite instances only")
+    lp, e1_rows, e2_rows, budget_row = _build_lp(inst)
+    answer = _cut_answer(inst, side)
+    if answer is not None:
+        sol = exactlp.certified(lp, answer)
+        # a mix of two covers has no defining rows to name
+        budget_tight = sum([sol.values[f"x {v}"] for v in inst.graph.vertices], _Z) == inst.nu
+        ep = _optimal_point(inst, sol, "cut", frozenset(), frozenset(), budget_tight)
+        if ep.objective == 0:
+            return ep
+        cert = _good_certificate(ep, inst)
+        if cert is not None:
+            return replace(ep, classification=cert)
+    sol = exactlp.certified(lp, exactlp.solve(lp))
+    ep = _optimal_point(
+        inst,
+        sol,
+        "simplex",
+        frozenset(e for e, row in e1_rows.items() if row in sol.defining_rows),
+        frozenset(e for e, row in e2_rows.items() if row in sol.defining_rows),
+        budget_row in sol.defining_rows,
     )
+    if ep.objective > 0:
+        ep = replace(ep, classification=classify(ep, inst))
+    return ep
 
+
+def _optimal_point(
+    inst: GbsInstance,
+    sol: exactlp.LpSolution,
+    method: str,
+    tight_e1: frozenset[Edge],
+    tight_e2: frozenset[Edge],
+    budget_tight: bool,
+) -> ExtremePoint:
+    """The certified answer `sol` as an unclassified point, with the
+    two-level check of a fractional one."""
+    x = {v: sol.values[f"x {v}"] for v in inst.graph.vertices}
+    z = {(u, v): sol.values[f"z {u} {v}"] for u, v in inst.e1}
     alpha = None
-    if fractional:
+    if any(val.denominator != 1 for val in chain(x.values(), z.values())):
         if not budget_tight:
             raise InternalInvariantError(
-                "fractional basic solution without a tight budget row on a bipartite instance"
+                "fractional optimal point without a tight budget row on a bipartite instance"
             )
         alpha = _uniform_alpha(chain(x.values(), z.values()))
-
-    ep = ExtremePoint(
+    return ExtremePoint(
         x=x,
         z=z,
         objective=sol.objective,
@@ -213,10 +343,8 @@ def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
         budget_tight=budget_tight,
         classification=None,
         duals=sol.duals,
+        method=method,
     )
-    if sol.objective > 0:
-        ep = replace(ep, classification=classify(ep, inst))
-    return ep
 
 
 def classify(ep: ExtremePoint, inst: GbsInstance) -> GoodCertificate | BadPartition:
@@ -226,6 +354,10 @@ def classify(ep: ExtremePoint, inst: GbsInstance) -> GoodCertificate | BadPartit
     no certificate must exhibit the uniformly fractional shape, which is
     fully validated before being returned.
     """
+    return _good_certificate(ep, inst) or _validate_bad(ep, inst)
+
+
+def _good_certificate(ep: ExtremePoint, inst: GbsInstance) -> GoodCertificate | None:
     for v in inst.graph.vertices:
         if ep.x[v] == 1:
             return GoodCertificate("unit_vertex", vertex=v)
@@ -235,7 +367,7 @@ def classify(ep: ExtremePoint, inst: GbsInstance) -> GoodCertificate | BadPartit
     for e in inst.e1:
         if ep.z[e] >= _THIRD:
             return GoodCertificate("heavy_edge", edge=e)
-    return _validate_bad(ep, inst)
+    return None
 
 
 def _validate_bad(ep: ExtremePoint, inst: GbsInstance) -> BadPartition:
@@ -314,14 +446,16 @@ def _check_spanning_tree(edges: frozenset[Edge], vertices: set[str]) -> None:
 class _Node:
     """One rounding step: its instance without isolated vertices, its LP
     value (0 for an edgeless leaf and for a root settled by the core
-    witness, neither of which solves an LP), whether the two-level check
-    ran, its case, and what it adds to its child's answer: `unit_vertex`
-    set to 1 or `blocked_edge`.
+    witness, neither of which answers a relaxation), how the relaxation
+    was answered ("cut", "simplex", or None when it was not), whether
+    the two-level check ran, its case, and what it adds to its child's
+    answer: `unit_vertex` set to 1 or `blocked_edge`.
     """
 
     inst: GbsInstance
     isolated: tuple[str, ...]
     lp_value: Fraction
+    answered_by: str | None
     two_level: bool
     case: str
     unit_vertex: str | None = None
@@ -370,14 +504,14 @@ def _ir(
             raise InternalInvariantError("recursion failed to make progress")
         inst, isolated = _drop_isolated(inst)
         if inst.graph.m == 0:
-            nodes.append(_Node(inst, isolated, _Z, False, "leaf"))
+            nodes.append(_Node(inst, isolated, _Z, None, False, "leaf"))
             x, blocked = {v: _Z for v in inst.graph.vertices}, frozenset()
             break
         ep = solve_gbs_lp(inst)
         if not nodes:
             root = ep
         cert = ep.classification
-        solved = (inst, isolated, ep.objective, ep.alpha is not None)
+        solved = (inst, isolated, ep.objective, ep.method, ep.alpha is not None)
         if ep.objective == 0:
             # every droppable edge already at zero: the point itself settles the node
             nodes.append(_Node(*solved, "leaf"))
@@ -429,8 +563,9 @@ def _trace(nodes: list[_Node]) -> tuple[str, ...]:
 def _stats(nodes: list[_Node]) -> dict[str, int]:
     cases = Counter(n.case for n in nodes)
     return {
-        # edgeless leaves and a root settled by the core witness skip the LP
-        "lp_solves": sum(1 for n in nodes if n.inst.graph.m and n.case != "core"),
+        # relaxations answered: edgeless leaves and a root settled by the core witness answer none
+        "lp_solves": sum(n.answered_by is not None for n in nodes),
+        "simplex_fallbacks": sum(n.answered_by == "simplex" for n in nodes),
         "ir_returns": len(nodes),
         "lemma_two_checks": sum(n.two_level for n in nodes),
         "bad_leaves": cases["bad"],
@@ -588,7 +723,7 @@ def stabilize_instance(inst: GbsInstance, core: CoreReport | None = None) -> Blo
     if core is not None and core.status == "nonempty":
         x, blocked = dict(core.witness_allocation), frozenset()
         assert_stable(g, inst.nu, x)  # the report is an input: check its witness again
-        nodes = [_Node(inst, (), _Z, False, "core")]
+        nodes = [_Node(inst, (), _Z, None, False, "core")]
         root_value = _Z
     elif bipartite:
         x, blocked, nodes, _ = _ir(inst, om)

@@ -219,7 +219,7 @@ def cmd_gen_gap(args) -> int:
 
 
 def cmd_gen_sparse(args) -> int:
-    omega = parse_rational(args.omega) if args.omega else Fraction(3)
+    omega = parse_rational(args.omega) if args.omega is not None else Fraction(3)
     g = oracle.gen_sparse(args.n, omega, args.seed, n_edges=args.edges)
     _write_out(edge_list_text(g), args.out)
     return 0

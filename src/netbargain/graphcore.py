@@ -3,6 +3,8 @@
 Sparsity (maximum subgraph density) is found at every size by one
 method: iterated improvement with Goldberg's minimum-cut density test,
 whose cut comes from one shortest-augmenting-path max-flow function.
+The same function, which also returns each arc's flow, answers the
+rounding relaxation's cover cuts in `blockset`.
 
 Everything here is deterministic: vertices are strings, all canonical
 orders are lexicographic, and all numeric quantities are `Fraction`s.
@@ -197,18 +199,24 @@ def compute_sparsity(g: Graph) -> Sparsity:
 
 def _min_cut(
     n: int, arcs: Iterable[tuple[int, int, int, int]], s: int, t: int
-) -> tuple[int, set[int]]:
-    """Maximum s-t flow and the source side of the minimal minimum cut.
+) -> tuple[int, set[int], list[int]]:
+    """Maximum s-t flow, the source side of the minimal minimum cut, and
+    the flow on each arc.
 
     Each arc (u, v, cap, back_cap) is an arc u->v paired with its reverse
     v->u.  Shortest augmenting paths (Edmonds-Karp) are pushed until a
     search fails to reach t; the vertices that search reaches are the
-    source side, which is the same for every maximum flow.
+    source side, which is the same for every maximum flow.  The flow on
+    an arc is its net flow u->v, at most cap and at least -back_cap,
+    listed in the order of `arcs`.
     """
     graph: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, index of reverse]
+    forward = []  # (residual arc u->v, cap) of each arc
     for u, v, cap, back_cap in arcs:
-        graph[u].append([v, cap, len(graph[v])])
+        arc = [v, cap, len(graph[v])]
+        graph[u].append(arc)
         graph[v].append([u, back_cap, len(graph[u]) - 1])
+        forward.append((arc, cap))
     flow = 0
     while True:
         via: list[tuple[int, list[int]] | None] = [None] * n  # (tail, arc) that reached each node
@@ -222,7 +230,7 @@ def _min_cut(
             if via[t] is not None:
                 break
         else:
-            return flow, set(reached)
+            return flow, set(reached), [cap - arc[1] for arc, cap in forward]
         path = []
         v = t
         while v != s:
@@ -261,7 +269,7 @@ def _density_improvement(g: Graph, guess: Fraction) -> tuple[str, ...] | None:
             arcs.append((i, t, sink_cap - source_cap, 0))
     for u, v in g.edges:
         arcs.append((index[u], index[v], q, q))
-    flow, side = _min_cut(g.n + 2, arcs, s, t)
+    flow, side, _ = _min_cut(g.n + 2, arcs, s, t)
     if netted + flow >= 2 * g.m * q:
         return None
     subset = tuple(order[i] for i in range(g.n) if i in side)

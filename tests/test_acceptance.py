@@ -35,6 +35,8 @@ class CorpusRun:
     cores: dict = field(default_factory=dict)
     outcomes: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
+    #: (instance, value) of every relaxation the rounding answered
+    nodes: list = field(default_factory=list)
     elapsed: float = 0.0
 
 
@@ -47,35 +49,45 @@ def corpus_run():
         "lemma_two_checks": 0,
         "bad_leaves": 0,
         "lp_solves": 0,
+        "simplex_fallbacks": 0,
     }
-    for seed in range(N_SEEDS):
-        g = corpus.corpus_graph(seed)
-        assert g.n <= 14 and g.m <= 18
-        omega = compute_sparsity(g).omega
-        assert omega <= 3
-        result = blockset.stabilize(g)
-        assert result.omega == omega
-        opt = oracle.brute_min_blocking_set(g, matching.matching_number(g))
-        assert opt.found
-        core = matching.core_status(g)
-        outcome = bargain.balanced_outcome(g, result, core.nu)
-        run.graphs[seed] = g
-        run.omegas[seed] = omega
-        run.results[seed] = result
-        run.opts[seed] = opt
-        run.cores[seed] = core
-        run.outcomes[seed] = outcome
-        for key in totals:
-            totals[key] += result.stats[key]
-    # deterministic instances that hit the uniformly fractional leaf
-    for idx, mids in enumerate((5, 7)):
-        e2 = [("x0", f"y{i}") for i in range(1, mids + 1)]
-        e1 = [(f"y{i}", f"o{i}") for i in range(1, mids + 1)]
-        inst = blockset.GbsInstance(Graph.build(e1 + e2), tuple(e1), tuple(e2), mids - 1)
-        result = blockset.stabilize_instance(inst)
-        run.results[f"star{idx}"] = result
-        for key in totals:
-            totals[key] += result.stats[key]
+    solve = blockset.solve_gbs_lp
+
+    def recording(inst):
+        ep = solve(inst)
+        run.nodes.append((inst, ep.objective))
+        return ep
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockset, "solve_gbs_lp", recording)
+        for seed in range(N_SEEDS):
+            g = corpus.corpus_graph(seed)
+            assert g.n <= 14 and g.m <= 18
+            omega = compute_sparsity(g).omega
+            assert omega <= 3
+            result = blockset.stabilize(g)
+            assert result.omega == omega
+            opt = oracle.brute_min_blocking_set(g, matching.matching_number(g))
+            assert opt.found
+            core = matching.core_status(g)
+            outcome = bargain.balanced_outcome(g, result, core.nu)
+            run.graphs[seed] = g
+            run.omegas[seed] = omega
+            run.results[seed] = result
+            run.opts[seed] = opt
+            run.cores[seed] = core
+            run.outcomes[seed] = outcome
+            for key in totals:
+                totals[key] += result.stats[key]
+        # deterministic instances that hit the uniformly fractional leaf
+        for idx, mids in enumerate((5, 7)):
+            e2 = [("x0", f"y{i}") for i in range(1, mids + 1)]
+            e1 = [(f"y{i}", f"o{i}") for i in range(1, mids + 1)]
+            inst = blockset.GbsInstance(Graph.build(e1 + e2), tuple(e1), tuple(e2), mids - 1)
+            result = blockset.stabilize_instance(inst)
+            run.results[f"star{idx}"] = result
+            for key in totals:
+                totals[key] += result.stats[key]
     run.stats = totals
     run.elapsed = time.monotonic() - t0
     return run
@@ -164,6 +176,17 @@ def test_criterion_5_extreme_point_structure(corpus_run):
         5,
         f"{two_level} fractional budget-tight points passed the two-level check; "
         f"{bad} uniformly fractional leaves passed all shape checks",
+    )
+
+
+def test_relaxation_values_match_the_simplex(corpus_run):
+    # the exact simplex, the cut answers' fallback, as a reference at every node
+    assert len(corpus_run.nodes) == corpus_run.stats["lp_solves"] > 0
+    for inst, value in corpus_run.nodes:
+        assert relaxation_value(inst) == value
+    print(
+        f"\n{len(corpus_run.nodes)} relaxations equal the simplex's value; "
+        f"{corpus_run.stats['simplex_fallbacks']} were answered by the simplex fallback"
     )
 
 

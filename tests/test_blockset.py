@@ -416,19 +416,24 @@ def test_host_root_value_is_twice_the_relaxation(inst):
 
 
 def test_non_bipartite_input_solves_no_lp_on_g(monkeypatch):
-    solved = []
-    solve = exactlp.solve
+    answered = []
+    solve = blockset.solve_gbs_lp
 
-    def recording(lp):
-        solved.append(lp.variables)
-        return solve(lp)
+    def recording(inst):
+        answered.append(inst.graph.vertices)
+        return solve(inst)
 
-    monkeypatch.setattr(exactlp, "solve", recording)
+    monkeypatch.setattr(blockset, "solve_gbs_lp", recording)
     for g in (corpus.k3(), corpus.c5(), corpus.corpus_graph(3)):
         assert blockset.stabilize(g).root_lp_value > 0
-    # every LP is a host relaxation, whose vertices are the copies v#1 and v#2
-    assert solved
-    assert all("#" in name for names in solved for name in names)
+    # every relaxation answered is a host's, whose vertices are the copies v#1 and v#2
+    assert answered
+    assert all("#" in name for names in answered for name in names)
+
+
+def test_relaxation_needs_a_bipartite_instance():
+    with pytest.raises(PreconditionError, match="bipartite"):
+        blockset.solve_gbs_lp(blockset.root_instance(corpus.k3(), 1))
 
 
 def test_tampered_host_dual_breaks_the_averaged_certificate(monkeypatch):
@@ -447,10 +452,36 @@ def test_tampered_host_dual_breaks_the_averaged_certificate(monkeypatch):
         blockset.stabilize(corpus.k3())
 
 
-def test_relaxation_answer_is_certified(tampered_duals):
+def test_relaxation_answer_is_certified(monkeypatch):
     _, inst = gap_instance(1)
+    assert blockset.solve_gbs_lp(inst).method == "cut"
+    cut = blockset._cut_answer
+
+    def wrong_arc_flow(sol):
+        return replace(sol, duals=(sol.duals[0] + Fraction(1, 7),) + sol.duals[1:])
+
+    def wrong_point(sol):
+        name = next(v for v in sol.values if v.startswith("z "))
+        return replace(sol, values={**sol.values, name: sol.values[name] + Fraction(1, 7)})
+
+    for tamper in (wrong_arc_flow, wrong_point):
+        monkeypatch.setattr(blockset, "_cut_answer", lambda inst, side: tamper(cut(inst, side)))
+        with pytest.raises(InternalInvariantError, match="blockset LP not certified"):
+            blockset.solve_gbs_lp(inst)
+
+
+def test_star_relaxation_falls_back_to_the_simplex():
+    # the star's cut answer mixes its two covers at 3/4 and 1/4: no unit
+    # vertex, no zero edge, every droppable edge at 1/4, so the simplex answers
+    inst = bad_star_instance()
+    ep = blockset.solve_gbs_lp(inst)
+    assert ep.method == "simplex" and isinstance(ep.classification, blockset.BadPartition)
+    assert blockset.stabilize_instance(inst).stats["simplex_fallbacks"] == 1
+
+
+def test_simplex_fallback_answer_is_certified(tampered_duals):
     with pytest.raises(InternalInvariantError, match="blockset LP not certified"):
-        blockset.solve_gbs_lp(inst)
+        blockset.solve_gbs_lp(bad_star_instance())
 
 
 # -- a stable root instance, settled by its core witness ------------------------

@@ -522,10 +522,11 @@ def _json(drop=(), **fields):
         (None, ("gen", "sparse", "--n", "4", "--omega", "1/2", "--seed", "1"), "at least 1"),
         (None, ("gen", "sparse", "--n", "4", "--omega", "1", "--edges", "6", "--seed", "1"),
          "could not sample"),
+        (None, ("gen", "sparse", "--n", "4", "--omega", "", "--seed", "1"), "expected a rational"),
     ],
     ids=["invalid-json", "no-nu", "negative-nu", "overlapping-classes", "classes-not-partition",
          "no-vertices", "vertices-string", "self-loop", "whitespace-name", "empty-name",
-         "nested-array", "nested-object", "omega-below-1", "omega-unreachable"],
+         "nested-array", "nested-object", "omega-below-1", "omega-unreachable", "omega-empty"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, text, argv, message):
     if text is not None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from netbargain import bargain, blockset, exactlp, matching
 from netbargain.errors import InternalInvariantError, PreconditionError
+from netbargain.graphcore import Graph
 
 import certbrute
 import corpus
@@ -449,7 +450,15 @@ def test_certificates_match_the_fraction_reference(lp, mutation, data):
 
 
 def _round_p4():
-    blockset.solve_gbs_lp(blockset.root_instance(corpus.p4(), 2))
+    # P4 at budget 1 has relaxation value 1: the cut answers it
+    blockset.solve_gbs_lp(blockset.root_instance(corpus.p4(), 1))
+
+
+def _round_bad_star():
+    # the star's cut answer has no good certificate: the simplex answers it
+    e2 = [("x0", f"y{i}") for i in range(1, 6)]
+    e1 = [(f"y{i}", f"o{i}") for i in range(1, 6)]
+    blockset.solve_gbs_lp(blockset.GbsInstance(Graph.build(e1 + e2), tuple(e1), tuple(e2), 4))
 
 
 def _balance_stable_tree():
@@ -459,19 +468,30 @@ def _balance_stable_tree():
 
 
 @pytest.mark.parametrize(
-    "caller, lp_name", [(_round_p4, "blockset"), (_balance_stable_tree, "surplus-acceleration")]
+    "caller, lp_name, answerer",
+    [
+        pytest.param(_round_p4, "blockset", (blockset, "_cut_answer"), id="_round_p4-blockset"),
+        pytest.param(_round_bad_star, "blockset", (exactlp, "solve"), id="_round_bad_star-blockset"),
+        pytest.param(
+            _balance_stable_tree,
+            "surplus-acceleration",
+            (exactlp, "solve"),
+            id="_balance_stable_tree-surplus-acceleration",
+        ),
+    ],
 )
-def test_caller_rejects_an_answer_that_is_not_optimal(monkeypatch, caller, lp_name):
-    solved = []
+def test_caller_rejects_an_answer_that_is_not_optimal(monkeypatch, caller, lp_name, answerer):
+    # `answerer` is what answers the caller's LP: the cut or the simplex
+    answered = []
 
-    def infeasible(lp):
-        solved.append(lp.name)
+    def infeasible(*args):
+        answered.append(args)
         return exactlp.LpSolution(exactlp.INFEASIBLE)
 
-    monkeypatch.setattr(exactlp, "solve", infeasible)
+    monkeypatch.setattr(*answerer, infeasible)
     with pytest.raises(InternalInvariantError, match=f"^{lp_name} LP not optimal: infeasible$"):
         caller()
-    assert solved == [lp_name]
+    assert len(answered) == 1
 
 
 def test_certified_returns_the_proven_answer_itself():

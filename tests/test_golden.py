@@ -23,9 +23,9 @@ import corpus
 TREES = {"tree10": (5, 10), "tree12": (10, 12)}
 
 GOLDEN = {
-    "corpus1": "1b4620c441a8e1e95f05969701f2045fcc804800927736f3b29bc478c2ef2141",
+    "corpus1": "19cdffcd8f7f4c6a7bdface6cfed86c09d4570735b60fd46ec3130ca9f390cdb",
     "corpus2": "2605d59a892a6470bd92dec50baa0e5173d09a8d18c538ab8e32dac1c0e8a0d0",
-    "corpus3": "d05b429d2b41f782e9a9fccc1af0d3094fa25c3c9545b726454c12e8c4065383",
+    "corpus3": "f24d9935ebdd69fc96ec702c2628dd94aaa37134d3b80104c23158b7a0dd8199",
     "corpus4": "2c6c4bd05b0bccde3f01df3c677ca22ea0fac87ae8c1eeeb22e178c88c3a7b68",
     "corpus5": "9eb72241dfc0570c5318a4980e08fd3c9fc500af2bf981adf4bce3f609febf81",
     "corpus6": "65e98946fd5c8bc32dd52d341b1d598b447b5e9ce402f747df2d4634c5cf6aa2",
@@ -38,23 +38,24 @@ GOLDEN = {
 }
 
 # `balance --trace` stdout: corpus3 runs 9 case-2 steps on its doubled
-# host, gap2 runs cases 1 and 3, star5 ends in a bad leaf at its root,
-# and tree12, a stable root settled by its core witness (`case=core`),
-# pins the balancing trace of its 3 LPs and 10 transfers.
+# host and ends at a leaf of value 0, gap2 runs cases 1 and 3, star5 ends
+# in a bad leaf at its root (the one relaxation here that the simplex
+# answers), and tree12, a stable root settled by its core witness
+# (`case=core`), pins the balancing trace of its 3 LPs and 10 transfers.
 TRACED = {
-    "corpus3": "fec5c4f99c899952d01ad6049cc4c8a94153b0bcfbdaef84bdca5c7630beab87",
-    "gap2": "6d22f1408fde73b7dbaa10b058bc91b67d70be361c0179fcf7aceb247cfa7e53",
+    "corpus3": "8043af2a741df3c0fbbace532e0140da29c5d85343634fbd60f594388023cf73",
+    "gap2": "a425d7af26be1da9d3844105aa2ad9573430d869d663c80429b92e37f75a251e",
     "star5": "54d6ae9918133a7daeba7621b6b05df8b6a640ed7b7583b11d317767ad5eb68f",
     "tree12": "a86cf7c72819c0be6f91c35506f6ce198180678e877408707c63c27e7e5b9873",
 }
 
 STATS = {
-    "corpus3": {"lp_solves": 17, "ir_returns": 18, "lemma_two_checks": 11, "bad_leaves": 0,
-                "case1": 6, "case2": 9, "case3": 2, "leaf": 1},
-    "gap2": {"lp_solves": 15, "ir_returns": 16, "lemma_two_checks": 9, "bad_leaves": 0,
-             "case1": 3, "case2": 0, "case3": 12, "leaf": 1},
-    "star5": {"lp_solves": 1, "ir_returns": 1, "lemma_two_checks": 1, "bad_leaves": 1,
-              "case1": 0, "case2": 0, "case3": 0, "leaf": 0},
+    "corpus3": {"lp_solves": 16, "simplex_fallbacks": 0, "ir_returns": 16, "lemma_two_checks": 15,
+                "bad_leaves": 0, "case1": 3, "case2": 9, "case3": 3, "leaf": 1},
+    "gap2": {"lp_solves": 15, "simplex_fallbacks": 0, "ir_returns": 16, "lemma_two_checks": 11,
+             "bad_leaves": 0, "case1": 3, "case2": 0, "case3": 12, "leaf": 1},
+    "star5": {"lp_solves": 1, "simplex_fallbacks": 1, "ir_returns": 1, "lemma_two_checks": 1,
+              "bad_leaves": 1, "case1": 0, "case2": 0, "case3": 0, "leaf": 0},
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -199,10 +200,47 @@ def test_min_cut_agrees_with_cut_enumeration(network):
                 if (u in side) != (v in side)
             )
     least = min(cuts.values())
-    flow, side = gc._min_cut(n, arcs, s, t)
+    flow, side, _ = gc._min_cut(n, arcs, s, t)
     assert flow == least
     # the minimal minimum cut: the source side that every minimum cut contains
     assert side == frozenset.intersection(*(c for c, value in cuts.items() if value == least))
+
+
+@given(flow_networks())
+@example((6, [(0, 1, 1, 0), (0, 2, 1, 0), (1, 3, 1, 0), (1, 4, 1, 0),
+              (2, 3, 1, 0), (3, 5, 1, 0), (4, 5, 1, 0)]))
+@example((4, [(0, 1, 2, 0), (1, 2, 1, 1), (2, 1, 3, 0), (0, 2, 1, 0), (1, 3, 5, 0), (2, 3, 2, 0)]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_min_cut_arc_flows_are_a_maximum_flow(network):
+    n, arcs = network
+    s, t = 0, n - 1
+    flow, side, flows = gc._min_cut(n, arcs, s, t)
+    assert len(flows) == len(arcs)
+    net = [0] * n
+    for (u, v, cap, back_cap), f in zip(arcs, flows):
+        assert -back_cap <= f <= cap
+        net[u] -= f
+        net[v] += f
+    # conserved at every node but the source and the sink, and as much as the flow value
+    assert all(net[i] == 0 for i in range(n) if i not in (s, t))
+    assert net[t] == flow == -net[s]
+    # and as much as the capacity of the returned cut
+    assert flow == sum(
+        cap if u in side else back_cap for u, v, cap, back_cap in arcs if (u in side) != (v in side)
+    )
+
+
+def test_sparsity_is_unchanged_on_the_corpus():
+    # density and witness of every acceptance-corpus graph and a few fixtures,
+    # pinned by digest: `gen sparse` samples by sparsity, so a moved witness
+    # or density would move every generated input
+    graphs = [corpus.corpus_graph(seed) for seed in corpus.CORPUS_SEEDS]
+    graphs += [corpus.petersen(), corpus.k4(), corpus.c5(), corpus.two_cover_tree()]
+    h = hashlib.sha256()
+    for g in graphs:
+        sp = gc.compute_sparsity(g)
+        h.update(f"{sp.density} {sp.witness}\n".encode())
+    assert h.hexdigest() == "903d57ea8b5f657a698ad328928f82bee0e81d55d5846c804e4e2f38ae74b731"
 
 
 def test_uncovered_edge_finds_first_bare_edge():
