@@ -17,9 +17,13 @@ The driver alternates two moves, both exact over rationals:
   * an acceleration LP that pushes every surplus outside the frozen top
     group as low as possible, forcing the frozen group to grow.
 
-Every acceleration LP answer passes `exactlp.certified`, and the run
-checks its final allocation once: the start's total, a cover of every
-edge, no negative share and every edge balanced.
+The acceleration LP is answered by a minimum-ratio cycle on the pairs of
+a maximum matching (`_cycle_answer`).  Only where that reduction does not
+apply, as when the allocation's total exceeds the matching number, does
+the exact simplex answer it, counted as `simplex_fallbacks`.  Every
+answer passes `exactlp.certified`, and the run checks its final
+allocation once: the start's total, a cover of every edge, no negative
+share and every edge balanced.
 Work is capped at |E'| LP solves and |E'|^2 transfers; exceeding either
 cap signals an implementation bug, never an input problem.
 """
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Mapping, Sequence
 
 from . import exactlp
 from .blockset import BlockingSetResult
@@ -168,8 +173,10 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
     Constraint families, in construction order: total conservation;
     frozen defining-option values; for each frozen pair (i, j) with
     defining option 1 - y_i - y_k*, dominance y_k >= y_k* for every
-    other alternative k of i; a delta-gap cap on every outside option of
-    every unfrozen pair; unit cover of every edge.  The current allocation
+    other alternative k of i, each (k, k*) once; a delta-gap cap on every
+    outside option of every unfrozen pair; unit cover of every edge.
+    `_cycle_answer` reads the rows by their shape, not by their names or
+    order, except that `total` comes first.  The current allocation
     with delta = delta_cap - s_max is feasible by construction (asserted).
     """
     g = st.graph
@@ -193,11 +200,13 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
             sum((st.x[m] for m in members), _Z),
             name=f"freeze {' '.join(members)}",
         )
+    seen_dominate: set[tuple] = set()
     for i, j in frozen:
         # i has no other alternative when no neighbour defines its option
         best = st.via[(i, j)]
         for k in g.neighbors(i):
-            if k not in (j, best):
+            if k not in (j, best) and (k, best) not in seen_dominate:
+                seen_dominate.add((k, best))
                 lp.add_constraint(
                     {_var(k): 1, _var(best): -1}, exactlp.GE, 0, name=f"dominate {i} {j} {k}"
                 )
@@ -234,15 +243,207 @@ def build_delta_lp(st: SurplusState) -> exactlp.LpProblem:
     return lp
 
 
+def _node(p: int, sign: int) -> int:
+    """The node of the doubled constraint graph that stands for sign * r_p."""
+    return 2 * p + (sign < 0)
+
+
+def _cycle_answer(lp: exactlp.LpProblem, matching: Sequence[Edge]) -> exactlp.LpSolution | None:
+    """An optimal answer of an acceleration LP by a minimum-ratio cycle on
+    the matched pairs; None when the reduction does not apply.
+
+    `matching` is a maximum matching M of the LP's graph.  When the
+    `total` row equals |M|, summing the cover rows of M gives
+    sum over matched y >= |M| = sum y, so every matched cover row is tight
+    and y is 0 at every exposed vertex.  With one variable r_p per matched
+    edge a < b, y_a = r_p and y_b = 1 - r_p, every other row becomes an
+    identity, a bound on delta, or a unit row (+-r_p +- r_q, +-r_p or
+    +-2 r_p, plus delta on a cap row) <= c; any other shape returns None.
+    Such a system is feasible iff its doubled constraint graph, with
+    nodes for r_p and -r_p and arcs for 0 <= r_p <= 1, has no negative
+    cycle, so the largest delta is a minimum-ratio cycle (Dantzig,
+    Blattner and Rao), found by Newton steps from above, each one
+    Bellman-Ford in ints.  The point is the potentials at delta*; the
+    duals are the last cycle's rows, plus `total` and the matched cover
+    rows, which carry the substitution.  The caller certifies the answer.
+    """
+    rows = lp.constraints
+    if rows[0].rhs != len(matching):
+        return None
+    place: dict[str, tuple[int, int, int]] = {}  # y = constant + sign * r_p
+    for p, (a, b) in enumerate(matching):
+        place[_var(a)] = (p, 1, 0)
+        place[_var(b)] = (p, -1, 1)
+    # arc u -> v is the row x_v - x_u <= num / den - k * delta, x = +-r at each
+    # node; `mult` times the LP row as written is that row, and 0 on a bound
+    arcs: list[tuple[int, int, int, int, int, int, int]] = []
+    for p in range(len(matching)):
+        arcs.append((_node(p, 1), _node(p, -1), 0, 1, 0, 0, 0))  # -2 r_p <= 0
+        arcs.append((_node(p, -1), _node(p, 1), 2, 1, 0, 0, 0))  # 2 r_p <= 2
+    cover = [-1] * len(matching)
+    cap: tuple[Fraction, int] | None = None  # the tightest bound on delta alone
+    for i in range(1, len(rows)):
+        con = rows[i]
+        lin: dict[int, int] = {}
+        const = k = 0
+        for name, coef in con.coeffs.items():
+            if coef.denominator != 1:
+                return None
+            a = coef.numerator
+            if name == "delta":
+                k = a
+            elif name in place:
+                p, s, base = place[name]
+                const += a * base
+                lin[p] = lin.get(p, 0) + a * s
+        terms = [(p, a) for p, a in lin.items() if a]
+        if con.rel == exactlp.GE and not terms and not k and const == 1 == con.rhs and len(con.coeffs) == 2:
+            # y_a + y_b >= 1 on a matched pair
+            p = place[next(iter(con.coeffs))][0]
+            if cover[p] < 0:
+                cover[p] = i
+        c0 = con.rhs - const
+        den = c0.denominator
+        for sign in (1, -1) if con.rel == exactlp.EQ else (1,) if con.rel == exactlp.LE else (-1,):
+            num, kk = sign * c0.numerator, sign * k
+            if kk not in (0, 1):
+                return None
+            if not terms:
+                if kk and (cap is None or Fraction(num, den) < cap[0]):
+                    cap = (Fraction(num, den), i)
+                elif not kk and num < 0:
+                    return None
+            elif len(terms) == 1:
+                p, a = terms[0]
+                a *= sign
+                if abs(a) == 1:
+                    arcs.append((_node(p, -a), _node(p, a), 2 * num, den, 2 * kk, i, 2 * sign))
+                elif abs(a) == 2:
+                    arcs.append((_node(p, -a), _node(p, a), num, den, kk, i, sign))
+                else:
+                    return None
+            elif len(terms) == 2:
+                (p, a), (q, b) = terms
+                a, b = sign * a, sign * b
+                if abs(a) != 1 or abs(b) != 1:
+                    return None
+                arcs.append((_node(q, -b), _node(p, a), num, den, kk, i, sign))
+                arcs.append((_node(p, -a), _node(q, b), num, den, kk, i, sign))
+            else:
+                return None
+    if min(cover, default=0) < 0:
+        return None
+
+    big = lcm(*[den for _, _, _, den, _, _, _ in arcs])
+    ends = [(u, v) for u, v, _, _, _, _, _ in arcs]
+    cw = [num * (big // den) for _, _, num, den, _, _, _ in arcs]
+    kd = [kk for _, _, _, _, kk, _, _ in arcs]
+    # start above every cycle ratio: as |x| <= 1, an arc with k > 0 gives
+    # k * delta <= c + 2, so delta* <= c + 2 since delta* >= 0
+    starts = [cap[0]] if cap is not None else []
+    if any(kd):
+        starts.append(Fraction(min([c for c, kk in zip(cw, kd) if kk]) + 3 * big, big))
+    if not starts:
+        return None
+    delta = min(starts)
+    cycle = None
+    while True:
+        # the arc weights c - k * delta times q * big, at delta = p / q
+        p, q = delta.numerator, delta.denominator
+        weights = [c * q - kk * p * big for c, kk in zip(cw, kd)]
+        dist, found = _negative_cycle(2 * len(matching), ends, weights)
+        if found is None:
+            break
+        cycle = found
+        ratio = sum([kd[j] for j in cycle])
+        if not ratio:
+            return None
+        delta = Fraction(sum([cw[j] for j in cycle]), ratio * big)
+
+    # the certificate: the rows of the last cycle over its delta count K,
+    # or the bound on delta alone that no cycle undercuts
+    uses: dict[int, int] = {}
+    if cycle is None:
+        if cap is None or delta != cap[0]:
+            return None
+        uses[cap[1]] = ratio = 1
+    else:
+        for j in cycle:
+            _, _, _, _, _, i, mult = arcs[j]
+            if mult:
+                uses[i] = uses.get(i, 0) + mult
+    duals = [_Z] * len(rows)
+    ell: dict[str, int] = {}  # K times each y's coefficient in the rows' sum
+    for i, w in uses.items():
+        duals[i] = Fraction(w, ratio)
+        for name, coef in rows[i].coeffs.items():
+            if name != "delta":
+                ell[name] = ell.get(name, 0) + w * coef.numerator
+    exposed = [v for v in lp.variables if v != "delta" and v not in place]
+    low = [min(ell.get(_var(a), 0), ell.get(_var(b), 0)) for a, b in matching]
+    mu = max([0] + [-ell.get(v, 0) for v in exposed] + [-m for m in low])
+    duals[0] = Fraction(mu, ratio)
+    for p, m in enumerate(low):
+        duals[cover[p]] = Fraction(-(m + mu), ratio)
+
+    scale = 2 * delta.denominator * big
+    values = dict.fromkeys(exposed, _Z)
+    for p, (a, b) in enumerate(matching):
+        r = Fraction(dist[_node(p, 1)] - dist[_node(p, -1)], scale)
+        values[_var(a)] = r
+        values[_var(b)] = 1 - r
+    values["delta"] = delta
+    return exactlp.LpSolution(exactlp.OPTIMAL, values, delta, tuple(duals))
+
+
+def _negative_cycle(
+    n: int, ends: Sequence[tuple[int, int]], weights: Sequence[int]
+) -> tuple[list[int], list[int] | None]:
+    """Bellman-Ford from a virtual source with a 0 arc to each node.
+
+    Returns the distances and None when no cycle is negative, else a
+    negative cycle as arc indices in reverse order.  A cycle of the
+    predecessor graph is negative, and one forms within n passes when a
+    negative cycle exists.
+    """
+    dist = [0] * n
+    pred = [-1] * n
+    for _ in range(n + 1):
+        changed = False
+        for j, (u, v) in enumerate(ends):
+            d = dist[u] + weights[j]
+            if d < dist[v]:
+                dist[v] = d
+                pred[v] = j
+                changed = True
+        if not changed:
+            return dist, None
+        seen = [0] * n
+        for s in range(n):
+            v = s
+            while v >= 0 and not seen[v]:
+                seen[v] = s + 1
+                v = ends[pred[v]][0] if pred[v] >= 0 else -1
+            if v >= 0 and seen[v] == s + 1:
+                cycle, u = [], v
+                while True:
+                    cycle.append(pred[u])
+                    u = ends[pred[u]][0]
+                    if u == v:
+                        return dist, cycle
+    raise InternalInvariantError("Bellman-Ford found no cycle after n passes")
+
+
 @dataclass
 class PrekernelRun:
     final: SurplusState | None = None
     lp_solves: int = 0
+    simplex_fallbacks: int = 0
     shifts: int = 0
     trace: list[str] = field(default_factory=list)
 
 
-def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
+def _prekernel_run(g: Graph, x0: Mapping[str, Fraction], matching: Sequence[Edge]) -> PrekernelRun:
     run = PrekernelRun()
     x = {v: Fraction(x0[v]) for v in g.vertices}
     _check_start(g, x)
@@ -258,7 +459,11 @@ def _prekernel_run(g: Graph, x0: Mapping[str, Fraction]) -> PrekernelRun:
         s_str = f"{st.s_max.numerator}/{st.s_max.denominator}"
 
         lp = build_delta_lp(st)
-        sol = exactlp.certified(lp, exactlp.solve(lp))
+        answer = _cycle_answer(lp, matching)
+        if answer is None:
+            run.simplex_fallbacks += 1
+            answer = exactlp.solve(lp)
+        sol = exactlp.certified(lp, answer)
         y = {v: sol.values[_var(v)] for v in g.vertices}
         st_y = surpluses(g, y)
         if st_y.violated:
@@ -327,7 +532,7 @@ def prekernel(g: Graph, x0: Mapping[str, Fraction]) -> dict[str, Fraction]:
     The start must cover every edge.  The returned allocation preserves
     the start's total and satisfies s_ij = s_ji on every edge.
     """
-    return _prekernel_run(g, x0).final.x
+    return _prekernel_run(g, x0, max_matching(g).edges).final.x
 
 
 @dataclass(frozen=True)
@@ -339,6 +544,7 @@ class BalancedOutcome:
     alternatives: dict[str, Fraction]
     balance_residual: dict[Edge, Fraction]
     lp_solves: int
+    simplex_fallbacks: int
     shifts: int
     trace: tuple[str, ...]
 
@@ -363,7 +569,7 @@ def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOu
         x0[g.vertices[0]] += nu - total
 
     mprime = max_matching(gprime)
-    run = _prekernel_run(gprime, x0)
+    run = _prekernel_run(gprime, x0, mprime.edges)
     final = run.final
     x = final.x
 
@@ -399,6 +605,7 @@ def balanced_outcome(g: Graph, result: BlockingSetResult, nu: int) -> BalancedOu
         alternatives=alternatives,
         balance_residual=residual,
         lp_solves=run.lp_solves,
+        simplex_fallbacks=run.simplex_fallbacks,
         shifts=run.shifts,
         trace=tuple(run.trace),
     )

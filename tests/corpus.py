@@ -57,6 +57,18 @@ def two_cover_tree() -> Graph:
     ])
 
 
+def matching_shrinker() -> Graph:
+    """A 9-vertex graph with matching number 4 whose blocking set
+    {v2-v7, v3-v5, v3-v6, v4-v7} leaves a residual graph with matching
+    number 3, so balancing starts from a total above the residual
+    graph's matching number."""
+    return Graph.build([
+        ("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"), ("v0", "v5"), ("v1", "v2"),
+        ("v1", "v3"), ("v1", "v5"), ("v1", "v6"), ("v1", "v8"), ("v2", "v7"), ("v3", "v5"),
+        ("v3", "v6"), ("v3", "v8"), ("v4", "v7"), ("v4", "v8"), ("v6", "v8"), ("v7", "v8"),
+    ])
+
+
 def corpus_graph(seed: int) -> Graph:
     """Seeded sparse graph: n in 4..14, at most 18 edges, sparsity <= 3."""
     n = 4 + (seed % 11)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from netbargain import bargain, blockset, cli, matching, oracle
+from netbargain import bargain, blockset, cli, exactlp, matching, oracle
 from netbargain.graphcore import Graph, compute_sparsity
 
 import corpus
@@ -37,6 +37,8 @@ class CorpusRun:
     stats: dict = field(default_factory=dict)
     #: (instance, value) of every relaxation the rounding answered
     nodes: list = field(default_factory=list)
+    #: (LP, matching, cycle answer or None) of every acceleration LP of balancing
+    accelerations: list = field(default_factory=list)
     elapsed: float = 0.0
 
 
@@ -52,14 +54,20 @@ def corpus_run():
         "simplex_fallbacks": 0,
     }
     solve = blockset.solve_gbs_lp
+    cycle_answer = bargain._cycle_answer
 
     def recording(inst):
         ep = solve(inst)
         run.nodes.append((inst, ep.objective))
         return ep
 
+    def recording_cycle(lp, m):
+        run.accelerations.append((lp, m, cycle_answer(lp, m)))
+        return run.accelerations[-1][2]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blockset, "solve_gbs_lp", recording)
+        patch.setattr(bargain, "_cycle_answer", recording_cycle)
         for seed in range(N_SEEDS):
             g = corpus.corpus_graph(seed)
             assert g.n <= 14 and g.m <= 18
@@ -187,6 +195,22 @@ def test_relaxation_values_match_the_simplex(corpus_run):
     print(
         f"\n{len(corpus_run.nodes)} relaxations equal the simplex's value; "
         f"{corpus_run.stats['simplex_fallbacks']} were answered by the simplex fallback"
+    )
+
+
+def test_acceleration_values_match_the_simplex(corpus_run):
+    # the exact simplex, the cycle answers' fallback, as a reference on every LP
+    cycles = [(lp, a) for lp, _, a in corpus_run.accelerations if a is not None]
+    fallbacks = [(lp, m) for lp, m, a in corpus_run.accelerations if a is None]
+    assert cycles
+    assert len(fallbacks) == sum(out.simplex_fallbacks for out in corpus_run.outcomes.values())
+    # only a total above the residual graph's matching number falls back
+    assert all(lp.constraints[0].rhs > len(m) for lp, m in fallbacks)
+    for lp, answer in cycles:
+        assert answer.values["delta"] == exactlp.solve(lp).objective
+    print(
+        f"\n{len(cycles)} acceleration LPs answered by the cycle equal the simplex's value; "
+        f"{len(fallbacks)} were answered by the simplex fallback"
     )
 
 

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from netbargain import bargain, blockset, matching, oracle
+from netbargain import bargain, blockset, exactlp, matching, oracle
 from netbargain.errors import InputError, InternalInvariantError, PreconditionError
 from netbargain.graphcore import Graph, uncovered_edge
 
@@ -183,9 +184,30 @@ def test_delta_lp_has_no_empty_row(monkeypatch):
     monkeypatch.setattr(bargain, "build_delta_lp", recording)
     g = corpus.random_tree(10, 12)
     out = bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
-    assert (len(built), out.lp_solves, out.shifts) == (3, 3, 10)
+    assert (len(built), out.lp_solves, out.simplex_fallbacks, out.shifts) == (3, 3, 0, 7)
     # the dominance rows of a frozen pair skip its own defining neighbour
-    assert sum(c.name.startswith("dominate") for lp in built for c in lp.constraints) == 18
+    assert sum(c.name.startswith("dominate") for lp in built for c in lp.constraints) == 12
+    assert [c.name for lp in built for c in lp.constraints if not c.coeffs] == []
+
+
+def test_delta_lp_writes_each_dominance_row_once(monkeypatch):
+    built = []
+    build = bargain.build_delta_lp
+
+    def recording(st):
+        built.append(build(st))
+        return built[-1]
+
+    monkeypatch.setattr(bargain, "build_delta_lp", recording)
+    for seed in range(24):
+        g = corpus.corpus_graph(seed)
+        bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
+    g = corpus.random_tree(10, 12)
+    bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
+    assert any(c.name.startswith("dominate") for lp in built for c in lp.constraints)
+    for lp in built:
+        rows = [tuple(sorted(c.coeffs.items())) for c in lp.constraints if c.name.startswith("dominate")]
+        assert len(rows) == len(set(rows))
     assert [c.name for lp in built for c in lp.constraints if not c.coeffs] == []
 
 
@@ -225,7 +247,7 @@ def test_prekernel_caps_and_balance_on_randoms():
         deficit = nu - sum(x0.values(), F(0))
         if deficit > 0:
             x0[g.vertices[0]] += deficit
-        run = bargain._prekernel_run(gprime, x0)
+        run = bargain._prekernel_run(gprime, x0, matching.max_matching(gprime).edges)
         assert run.lp_solves <= gprime.m
         assert run.shifts <= gprime.m**2
         st = bargain.surpluses(gprime, run.final.x)
@@ -299,18 +321,34 @@ def test_balanced_outcome_rejects_allocation_above_matching_number():
         bargain.balanced_outcome(g, result, 1)
 
 
-def test_outcomes_verify_on_random_corpus():
+def test_outcomes_verify_on_random_corpus(monkeypatch):
+    answered = []
+    cycle_answer = bargain._cycle_answer
+
+    def recording(lp, m):
+        answered.append((lp, cycle_answer(lp, m)))
+        return answered[-1][1]
+
+    monkeypatch.setattr(bargain, "_cycle_answer", recording)
     for seed in range(24, 48):
         g = corpus.corpus_graph(seed)
         result = blockset.stabilize(g)
+        before = len(answered)
         out = bargain.balanced_outcome(g, result, matching.matching_number(g))
         gprime = g.without_edges(result.blocking_set)
         assert verify_outcome(gprime, matching.matching_number(g), out) == [], seed
+        assert out.simplex_fallbacks == sum(a is None for _, a in answered[before:])
+    # the exact simplex, the cycle's fallback, as a reference on every LP
+    cycles = [(lp, a) for lp, a in answered if a is not None]
+    assert cycles
+    for lp, a in cycles:
+        assert a.values["delta"] == exactlp.solve(lp).objective
+    print(f"\n{len(cycles)} acceleration LPs answered by the cycle, {len(answered) - len(cycles)} by the simplex")
 
 
 def test_trace_line_format():
     g = corpus.single_edge()
-    run = bargain._prekernel_run(g, {"u": F(1), "v": F(0)})
+    run = bargain._prekernel_run(g, {"u": F(1), "v": F(0)}, (("u", "v"),))
     assert run.trace
     import re
 
@@ -319,7 +357,38 @@ def test_trace_line_format():
         assert pat.match(line), line
 
 
-def test_acceleration_answer_is_certified(tampered_duals):
+def test_acceleration_answer_is_certified(monkeypatch):
     g = corpus.single_edge()
+    assert bargain._prekernel_run(g, {"u": F(1), "v": F(0)}, (("u", "v"),)).simplex_fallbacks == 0
+    cycle_answer = bargain._cycle_answer
+
+    def moved_point(s):
+        return replace(s, values={**s.values, "y u": s.values["y u"] + F(1, 7)})
+
+    def moved_dual(s):
+        return replace(s, duals=(s.duals[0] + F(1, 7),) + s.duals[1:])
+
+    for tamper in (moved_point, moved_dual):
+        monkeypatch.setattr(bargain, "_cycle_answer", lambda lp, m: tamper(cycle_answer(lp, m)))
+        with pytest.raises(InternalInvariantError, match="surplus-acceleration LP not certified"):
+            bargain._prekernel_run(g, {"u": F(1), "v": F(0)}, (("u", "v"),))
+
+
+def _balance_matching_shrinker():
+    g = corpus.matching_shrinker()
+    result = blockset.stabilize(g)
+    assert len(result.blocking_set) == 4
+    assert matching.matching_number(g.without_edges(result.blocking_set)) == 3
+    return bargain.balanced_outcome(g, result, matching.matching_number(g))
+
+
+def test_fallback_answer_is_certified(tampered_duals):
     with pytest.raises(InternalInvariantError, match="surplus-acceleration LP not certified"):
-        bargain._prekernel_run(g, {"u": F(1), "v": F(0)})
+        _balance_matching_shrinker()
+
+
+def test_total_above_the_residual_matching_number_falls_back_to_the_simplex():
+    # the allocation totals 4 on a residual graph with matching number 3, so
+    # the matched cover rows need not be tight.  The balanced allocation
+    # pays some matched edges more than 1, a known fault, so it is not pinned
+    assert _balance_matching_shrinker().simplex_fallbacks >= 1

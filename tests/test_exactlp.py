@@ -462,8 +462,14 @@ def _round_bad_star():
 
 
 def _balance_stable_tree():
-    # a stable tree: the rounding solves no LP, and balancing solves acceleration LPs
+    # a stable tree: the rounding solves no LP, and the cycle answers its acceleration LPs
     g = corpus.random_tree(10, 12)
+    bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
+
+
+def _balance_matching_shrinker():
+    # the blocking set lowers the matching number: the simplex answers the acceleration LP
+    g = corpus.matching_shrinker()
     bargain.balanced_outcome(g, blockset.stabilize(g), matching.matching_number(g))
 
 
@@ -475,13 +481,19 @@ def _balance_stable_tree():
         pytest.param(
             _balance_stable_tree,
             "surplus-acceleration",
-            (exactlp, "solve"),
+            (bargain, "_cycle_answer"),
             id="_balance_stable_tree-surplus-acceleration",
+        ),
+        pytest.param(
+            _balance_matching_shrinker,
+            "surplus-acceleration",
+            (exactlp, "solve"),
+            id="_balance_matching_shrinker-surplus-acceleration",
         ),
     ],
 )
 def test_caller_rejects_an_answer_that_is_not_optimal(monkeypatch, caller, lp_name, answerer):
-    # `answerer` is what answers the caller's LP: the cut or the simplex
+    # `answerer` is what answers the caller's LP: the cut, the cycle or the simplex
     answered = []
 
     def infeasible(*args):

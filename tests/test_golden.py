@@ -19,7 +19,7 @@ from netbargain.graphcore import Graph, edge_list_text
 import corpus
 
 # (seed, vertices) of the random trees; tree12's balancing runs three
-# acceleration LPs with 18 dominance rows
+# acceleration LPs with 12 dominance rows
 TREES = {"tree10": (5, 10), "tree12": (10, 12)}
 
 GOLDEN = {
@@ -41,12 +41,12 @@ GOLDEN = {
 # host and ends at a leaf of value 0, gap2 runs cases 1 and 3, star5 ends
 # in a bad leaf at its root (the one relaxation here that the simplex
 # answers), and tree12, a stable root settled by its core witness
-# (`case=core`), pins the balancing trace of its 3 LPs and 10 transfers.
+# (`case=core`), pins the balancing trace of its 3 LPs and 7 transfers.
 TRACED = {
     "corpus3": "8043af2a741df3c0fbbace532e0140da29c5d85343634fbd60f594388023cf73",
     "gap2": "a425d7af26be1da9d3844105aa2ad9573430d869d663c80429b92e37f75a251e",
     "star5": "54d6ae9918133a7daeba7621b6b05df8b6a640ed7b7583b11d317767ad5eb68f",
-    "tree12": "a86cf7c72819c0be6f91c35506f6ce198180678e877408707c63c27e7e5b9873",
+    "tree12": "c5e6d5494b13da1681abc4b456994e6876ade6af64f67bf10f0d0401c61afcc3",
 }
 
 STATS = {

@@ -4,7 +4,8 @@
 quietly stop running; each check raises instead.  A failed check raises
 `InternalInvariantError`, never a bare `AssertionError`, so that the CLI
 reports it as a solver fault like every other.  An LP answer is proven
-in one place, `exactlp.certified`, which every caller goes through.
+in one place, `exactlp.certified`, which every caller goes through, and
+the simplex solves only the LPs that the direct answers leave over.
 """
 
 import ast
@@ -55,3 +56,15 @@ def test_only_exactlp_certified_checks_certificates():
         tree = ast.parse(path.read_text(), filename=str(path))
         calls += _calls(tree, "check_certificates", (path.name, "<module>"))
     assert [(file, function) for file, function, _ in calls] == [("exactlp.py", "certified")], calls
+
+
+def test_exactlp_solve_is_called_only_by_the_counted_fallbacks():
+    # the relaxation's cut and the acceleration LP's cycle answer the rest
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += _calls(tree, "solve", (path.name, "<module>"))
+    assert [(file, function) for file, function, _ in calls] == [
+        ("bargain.py", "_prekernel_run"),
+        ("blockset.py", "solve_gbs_lp"),
+    ], calls
