@@ -10,11 +10,12 @@ point is uniformly fractional.  The relaxation is answered by
 parametric minimum cut: on a bipartite instance the cover rows are
 totally unimodular, so a few cuts over the budget row's multiplier find
 two optimal covers whose mix is an optimal point, and the arc flows are
-its duals.  A mix with no good certificate is solved again by the exact
-simplex, whose vertex the bad-leaf rounding needs; that fallback is
-counted.  Every answer, either way, passes the LP certificate check.
-Three invariants are asserted at every node, and once more on the final
-answer, by one function:
+its duals.  A mix with no good certificate is replaced by the mix of an
+adjacent pair of optimal covers, a vertex, which the bad-leaf rounding
+needs; a walk through the minimum cuts of the last flow finds the pair.
+Every answer passes the LP certificate check.  Three invariants are
+asserted at every node, and once more on the final answer, by one
+function:
 
   I1  the allocation covers every non-blocked edge,
   I2  the allocation total stays within the budget,
@@ -111,26 +112,18 @@ class BadPartition:
 
 @dataclass(frozen=True)
 class ExtremePoint:
-    """Optimal solution of the relaxation with tight-set bookkeeping.
-
-    `method` says how it was answered: "simplex" (an optimal basic
-    solution, whose defining rows are `tight_e1`, `tight_e2` and, when
-    `budget_tight`, the budget row) or "cut" (a mix of two optimal
-    covers, a vertex or not, which names no defining cover rows; its
-    `budget_tight` says whether sum(x) = nu).
-    """
+    """Optimal solution of the relaxation: a mix of two optimal covers, a
+    vertex when `walked`.  `budget_tight` says whether sum(x) = nu."""
 
     x: dict[str, Fraction]
     z: dict[Edge, Fraction]
     objective: Fraction
     alpha: Fraction | None
-    tight_e1: frozenset[Edge]
-    tight_e2: frozenset[Edge]
     budget_tight: bool
     classification: GoodCertificate | BadPartition | None
     #: row duals in the order `_build_lp` adds the rows: e1 covers, e2 covers, budget
     duals: tuple[Fraction, ...] = ()
-    method: str = "simplex"
+    walked: bool = False
 
 
 @dataclass(frozen=True)
@@ -192,7 +185,7 @@ def _uniform_alpha(values: Iterable[Fraction]) -> Fraction:
 
 def _cover_cut(
     inst: GbsInstance, side: Mapping[str, int], lam: Fraction
-) -> tuple[int, frozenset[str], frozenset[Edge], list[int]]:
+) -> tuple[int, frozenset[str], frozenset[Edge], list[tuple[tuple[int, int, int, int], int]]]:
     """A vertex set X minimizing lam*|X| + (droppable edges X leaves bare)
     over the sets that cover every protected edge, as one minimum cut.
 
@@ -201,8 +194,8 @@ def _cover_cut(
     droppable and too heavy to cut when protected; X is the colour-0
     vertices on the sink side and the colour-1 vertices on the source
     side.  Returns the cut's capacity (q times the minimum), X, the
-    droppable edges X leaves bare and the flow on each edge arc, in the
-    order e1 then e2.
+    droppable edges X leaves bare and each arc with its flow (vertex i is
+    node i, s is n, t is n + 1; vertex arcs, then e1's, then e2's).
     """
     g = inst.graph
     p, q = lam.numerator, lam.denominator
@@ -219,33 +212,26 @@ def _cover_cut(
     flow, source_side, flows = _min_cut(g.n + 2, arcs, s, t)
     cover = frozenset([v for i, v in enumerate(g.vertices) if (i in source_side) == (side[v] == 1)])
     bare = frozenset([(u, v) for u, v in inst.e1 if u not in cover and v not in cover])
-    return flow, cover, bare, flows[g.n:]
+    return flow, cover, bare, list(zip(arcs, flows))
 
 
-def _cut_answer(inst: GbsInstance, side: Mapping[str, int]) -> exactlp.LpSolution | None:
-    """An optimal answer of the relaxation of a bipartite instance, by
-    parametric minimum cut; None when no cover of e2 fits the budget.
+def _optimal_covers(inst: GbsInstance, side: Mapping[str, int]) -> tuple | None:
+    """lam*, the budget row's optimal multiplier, two covers optimal at
+    lam*, X_a of at least nu vertices and X_b of at most nu, and the arcs
+    and flows of a maximum flow at lam*; None when no cover of e2 fits.
 
-    The cover rows are totally unimodular, so for a multiplier lam of the
-    budget row the Lagrangian minimum is the best integral cover X, one
-    `_cover_cut`, and the relaxation value is the maximum over lam of
-    that minimum less lam*nu.  At lam = 1/(n+1) the cut is a minimum
-    vertex cover, which settles a relaxation of value 0 when it fits the
-    budget.  Otherwise Eisner-Severance search runs between it and the
+    The cover rows are totally unimodular, so the Lagrangian minimum at a
+    multiplier lam is one `_cover_cut`.  At lam = 1/(n+1) it is a minimum
+    vertex cover; if that fits the budget, it is optimal at lam* = 0 with
+    no flow.  Otherwise Eisner-Severance search runs between it and the
     cut at lam = |E1|+1, a minimum cover of e2: it cuts where the lines
     of the two covers meet, and keeps the new cover on the side of nu its
-    size falls, until a cut finds nothing below both lines.  At that
-    lam* the covers X_a (at least nu vertices) and X_b (at most nu) are
-    both optimal, so theta*X_a + (1-theta)*X_b with sum(x) = nu is an
-    optimal point; the arc flows over q are the cover rows' duals and
-    -lam* the budget row's.  The caller certifies the answer.
+    size falls, until a cut finds nothing below both lines.
     """
     g, nu = inst.graph, inst.nu
-    _, a, bare_a, _ = _cover_cut(inst, side, Fraction(1, g.n + 1))
+    _, a, bare_a, flows = _cover_cut(inst, side, Fraction(1, g.n + 1))
     if len(a) <= nu:
-        values = {f"x {v}": _ONE if v in a else _Z for v in g.vertices}
-        values.update({f"z {u} {v}": _Z for u, v in inst.e1})
-        return exactlp.LpSolution(exactlp.OPTIMAL, values, _Z, (_Z,) * (len(inst.e1) + len(inst.e2) + 1))
+        return _Z, a, a, [(arc, 0) for arc, _ in flows]
     lam = Fraction(len(inst.e1) + 1)
     _, b, bare_b, flows = _cover_cut(inst, side, lam)
     if len(b) > nu:
@@ -259,73 +245,95 @@ def _cut_answer(inst: GbsInstance, side: Mapping[str, int]) -> exactlp.LpSolutio
             a, bare_a = c, bare_c
         if len(c) <= nu:
             b, bare_b = c, bare_c
+    return lam, a, b, flows
+
+
+def _cut_answer(inst: GbsInstance, covers: tuple | None) -> exactlp.LpSolution:
+    """The optimal point theta*X_a + (1-theta)*X_b with sum(x) = nu of
+    two `_optimal_covers`, INFEASIBLE when there are none; the edge arcs'
+    flows over q are the cover rows' duals and -lam* the budget row's.
+    The caller certifies the answer."""
+    if covers is None:
+        return exactlp.LpSolution(exactlp.INFEASIBLE)
+    lam, a, b, flows = covers
+    g, nu = inst.graph, inst.nu
+    bare_a, bare_b = [{(u, v) for u, v in inst.e1 if u not in x and v not in x} for x in (a, b)]
     theta = Fraction(nu - len(b), len(a) - len(b)) if len(a) != len(b) else _ONE
     # the point is theta on X_a's entries plus 1-theta on X_b's
     level = {(True, True): _ONE, (True, False): theta, (False, True): 1 - theta, (False, False): _Z}
     values = {f"x {v}": level[v in a, v in b] for v in g.vertices}
     values.update({f"z {u} {v}": level[(u, v) in bare_a, (u, v) in bare_b] for u, v in inst.e1})
     objective = theta * len(bare_a) + (1 - theta) * len(bare_b)
-    duals = tuple([Fraction(f, lam.denominator) for f in flows]) + (-lam,)
+    duals = tuple([Fraction(f, lam.denominator) for _, f in flows[g.n:]]) + (-lam,)
     return exactlp.LpSolution(exactlp.OPTIMAL, values, objective, duals)
+
+
+def _walk(inst: GbsInstance, side: Mapping[str, int], covers: tuple) -> exactlp.LpSolution:
+    """The `_cut_answer` of an adjacent pair of optimal covers, a vertex.
+
+    The minimum cuts at lam* are the closed sets of the residual graph
+    (Picard-Queyranne); two that differ by one connected piece are
+    adjacent (Stanley).  From S_a, the source side of X_a, the walk drops
+    what reaches each vertex of S_a - S_b in turn, then adds what each
+    vertex of S_b - S_a reaches.  Each set is closed, and the first two
+    in a row whose cover sizes straddle nu are mixed.
+    """
+    lam, a, b, flows = covers
+    g = inst.graph
+    # the residual arcs of the flow, and the same arcs reversed
+    ahead = [(u, v) for (u, v, cap, _), f in flows if f < cap] + [(v, u) for (u, v, _, _), f in flows if f > 0]
+    behind = [(v, u) for u, v in ahead]
+
+    def reach(i: int, arcs: list[tuple[int, int]]) -> set[int]:
+        seen = {i}
+        while new := {v for u, v in arcs if u in seen} - seen:
+            seen |= new
+        return seen
+
+    s_a, s_b = [{i for i, v in enumerate(g.vertices) if (v in x) == (side[v] == 1)} for x in (a, b)]
+    closed, last = s_a, a
+    for i, arcs in [(i, behind) for i in sorted(s_a - s_b)] + [(i, ahead) for i in sorted(s_b - s_a)]:
+        closed = closed - reach(i, arcs) if arcs is behind else closed | reach(i, arcs)
+        cover = frozenset([v for j, v in enumerate(g.vertices) if (j in closed) == (side[v] == 1)])
+        if len(cover) <= inst.nu:
+            return _cut_answer(inst, (lam, last, cover, flows))
+        last = cover
+    raise InternalInvariantError("the walk between two minimum cuts left the minimum cuts")
 
 
 def solve_gbs_lp(inst: GbsInstance) -> ExtremePoint:
     """Optimal solution of the relaxation of a bipartite instance,
     classified when positive.
 
-    The relaxation is answered by parametric minimum cut (`_cut_answer`).
-    Cases 1-3 hold at any optimal point, so a cut answer with a good
+    Cases 1-3 hold at any optimal point, so a `_cut_answer` with a good
     certificate is kept.  Only the bad-leaf shape needs a vertex: a
-    positive cut answer with no good certificate, or an instance whose
-    protected edges no cover within the budget reaches, falls back to the
-    simplex.  Its optimal basic solution is classified like any other,
-    and one with no good certificate either is returned as a fully
-    validated BadPartition.  Every answer is certified on the LP
-    `_build_lp` builds, and a fractional one must be budget-tight and
-    two-level.  Zero-value solutions are never classified: the caller
-    terminates on them directly.
+    positive one with none is replaced by the `_walk`'s vertex, whose
+    classification is a fully validated BadPartition if it has none
+    either.  Every answer is certified on the LP `_build_lp` builds, and
+    a fractional one must be budget-tight and two-level.  Zero-value
+    solutions are never classified: the caller terminates on them.
     """
     side = is_bipartite(inst.graph)
     if side is None:
         raise PreconditionError("the relaxation is answered on bipartite instances only")
-    lp, e1_rows, e2_rows, budget_row = _build_lp(inst)
-    answer = _cut_answer(inst, side)
-    if answer is not None:
-        sol = exactlp.certified(lp, answer)
-        # a mix of two covers has no defining rows to name
-        budget_tight = sum([sol.values[f"x {v}"] for v in inst.graph.vertices], _Z) == inst.nu
-        ep = _optimal_point(inst, sol, "cut", frozenset(), frozenset(), budget_tight)
-        if ep.objective == 0:
-            return ep
-        cert = _good_certificate(ep, inst)
-        if cert is not None:
-            return replace(ep, classification=cert)
-    sol = exactlp.certified(lp, exactlp.solve(lp))
-    ep = _optimal_point(
-        inst,
-        sol,
-        "simplex",
-        frozenset(e for e, row in e1_rows.items() if row in sol.defining_rows),
-        frozenset(e for e, row in e2_rows.items() if row in sol.defining_rows),
-        budget_row in sol.defining_rows,
-    )
-    if ep.objective > 0:
-        ep = replace(ep, classification=classify(ep, inst))
-    return ep
+    lp = _build_lp(inst)[0]
+    covers = _optimal_covers(inst, side)
+    ep = _optimal_point(inst, exactlp.certified(lp, _cut_answer(inst, covers)))
+    if ep.objective == 0:
+        return ep
+    cert = _good_certificate(ep, inst)
+    if cert is None:
+        ep = _optimal_point(inst, exactlp.certified(lp, _walk(inst, side, covers)), walked=True)
+        cert = classify(ep, inst)
+    return replace(ep, classification=cert)
 
 
-def _optimal_point(
-    inst: GbsInstance,
-    sol: exactlp.LpSolution,
-    method: str,
-    tight_e1: frozenset[Edge],
-    tight_e2: frozenset[Edge],
-    budget_tight: bool,
-) -> ExtremePoint:
+def _optimal_point(inst: GbsInstance, sol: exactlp.LpSolution, walked: bool = False) -> ExtremePoint:
     """The certified answer `sol` as an unclassified point, with the
     two-level check of a fractional one."""
     x = {v: sol.values[f"x {v}"] for v in inst.graph.vertices}
     z = {(u, v): sol.values[f"z {u} {v}"] for u, v in inst.e1}
+    budget_tight = sum(x.values(), _Z) == inst.nu
     alpha = None
     if any(val.denominator != 1 for val in chain(x.values(), z.values())):
         if not budget_tight:
@@ -338,12 +346,10 @@ def _optimal_point(
         z=z,
         objective=sol.objective,
         alpha=alpha,
-        tight_e1=tight_e1,
-        tight_e2=tight_e2,
         budget_tight=budget_tight,
         classification=None,
         duals=sol.duals,
-        method=method,
+        walked=walked,
     )
 
 
@@ -400,11 +406,11 @@ def _validate_bad(ep: ExtremePoint, inst: GbsInstance) -> BadPartition:
             raise InternalInvariantError(f"edge {u}-{v} inside the low-allocation set")
         if (u in y_set) == (v in y_set):
             raise InternalInvariantError(f"edge {u}-{v} does not cross the high-allocation set")
-    o_set = set(o_side)
-    for u, v in ep.tight_e1:
-        if not ((u in o_set and v in y_set) or (v in o_set and u in y_set)):
-            raise InternalInvariantError(f"defining droppable edge {u}-{v} not between zero and high side")
-    _check_spanning_tree(ep.tight_e2, set(x_side) | y_set)
+    o_set, x, z = set(o_side), ep.x, ep.z
+    for u, v in inst.e1:
+        if x[u] + x[v] + z[(u, v)] == 1 and not ((u in o_set and v in y_set) or (v in o_set and u in y_set)):
+            raise InternalInvariantError(f"tight droppable edge {u}-{v} not between zero and high side")
+    _check_spanning_tree(_spanning_forest([e for e in inst.e2 if x[e[0]] + x[e[1]] == 1]), set(x_side) | y_set)
 
     nu = inst.nu
     if not (2 * nu > len(x_side) + len(y_side) and nu < len(y_side)):
@@ -412,6 +418,18 @@ def _validate_bad(ep: ExtremePoint, inst: GbsInstance) -> BadPartition:
             f"budget {nu} outside ({(len(x_side) + len(y_side))}/2, {len(y_side)})"
         )
     return BadPartition(tuple(x_side), tuple(y_side), tuple(o_side), alpha)
+
+
+def _spanning_forest(edges: Iterable[Edge]) -> frozenset[Edge]:
+    """The edges, in order, that join two components of the edges before them."""
+    component: dict[str, frozenset[str]] = {}
+    forest = []
+    for u, v in edges:
+        cu, cv = component.get(u, frozenset([u])), component.get(v, frozenset([v]))
+        if u not in cv:
+            forest.append((u, v))
+            component.update(dict.fromkeys(cu | cv, cu | cv))
+    return frozenset(forest)
 
 
 def _check_spanning_tree(edges: frozenset[Edge], vertices: set[str]) -> None:
@@ -447,7 +465,7 @@ class _Node:
     """One rounding step: its instance without isolated vertices, its LP
     value (0 for an edgeless leaf and for a root settled by the core
     witness, neither of which answers a relaxation), how the relaxation
-    was answered ("cut", "simplex", or None when it was not), whether
+    was answered ("cut", "walk", or None when it was not), whether
     the two-level check ran, its case, and what it adds to its child's
     answer: `unit_vertex` set to 1 or `blocked_edge`.
     """
@@ -511,7 +529,7 @@ def _ir(
         if not nodes:
             root = ep
         cert = ep.classification
-        solved = (inst, isolated, ep.objective, ep.method, ep.alpha is not None)
+        solved = (inst, isolated, ep.objective, "walk" if ep.walked else "cut", ep.alpha is not None)
         if ep.objective == 0:
             # every droppable edge already at zero: the point itself settles the node
             nodes.append(_Node(*solved, "leaf"))
@@ -565,7 +583,6 @@ def _stats(nodes: list[_Node]) -> dict[str, int]:
     return {
         # relaxations answered: edgeless leaves and a root settled by the core witness answer none
         "lp_solves": sum(n.answered_by is not None for n in nodes),
-        "simplex_fallbacks": sum(n.answered_by == "simplex" for n in nodes),
         "ir_returns": len(nodes),
         "lemma_two_checks": sum(n.two_level for n in nodes),
         "bad_leaves": cases["bad"],

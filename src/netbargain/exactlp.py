@@ -7,11 +7,11 @@ variable bounds.  The arithmetic is exact: the tableau holds Python
 is built only when the point, the objective and the duals are read out.
 There is no floating-point phase, so callers can compare solution
 values against thresholds like 1/3 exactly.  The solver returns optimal
-*basic* solutions (vertices of the feasible region), row duals, the
-rows that define the returned vertex, and the tableau's size and pivot
-counts.  Every row stays in the tableau for the whole solve; an
-artificial left basic by phase 1 (a redundant row's, say) stays at 0,
-and its row is not defining while it is basic.  `violations` checks any
+*basic* solutions (vertices of the feasible region), row duals, and the
+tableau's size and pivot counts.  Every row stays in the tableau for the
+whole solve; an artificial left basic by phase 1 (a redundant row's,
+say) stays at 0.  The pipeline solves only the acceleration LPs that
+the matched-pair cycle does not answer.  `violations` checks any
 point against an LP's rows and nonnegativity, and `check_certificates`
 proves an optimal answer by its duals.  Both work in exact integer
 arithmetic and build a `Fraction` only to word a finding and to compare
@@ -93,24 +93,18 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solve result.
-
-    `defining_rows` are the constraints whose own slack, surplus and
-    artificial columns are all nonbasic (so no row whose artificial is still
-    basic); each is tight, and together with the zero variables they
-    determine the returned point uniquely, since the basis is nonsingular.
-    `duals` follow the convention under which the dual objective equals
-    the primal one (see `check_certificates`).  The size of the tableau
-    (rows; columns for the variables, slacks, surpluses and artificials)
-    and the pivots of each phase are reported for observability and take
-    no part in equality; phase 2 counts those that take artificials out.
+    """An LP answer, solved or built; `duals` follow the convention under
+    which the dual objective equals the primal one (see
+    `check_certificates`).  The size of the tableau (rows; columns for the
+    variables, slacks, surpluses and artificials) and the pivots of each
+    phase are reported for observability and take no part in equality;
+    phase 2 counts those that take artificials out.
     """
 
     status: str
     values: dict[str, Fraction] = field(default_factory=dict)
     objective: Fraction | None = None
     duals: tuple[Fraction, ...] = ()
-    defining_rows: frozenset[int] = frozenset()
     rows: int = field(default=0, compare=False)
     columns: int = field(default=0, compare=False)
     phase1_pivots: int = field(default=0, compare=False)
@@ -330,18 +324,7 @@ def solve(p: LpProblem) -> LpSolution:
     for row in rows:
         cbar = _scaled_reduced_cost(cost2, scale, priced, row.art_col if row.art_col >= 0 else row.slack_col)
         duals.append(Fraction(cbar if row.flipped else -cbar, scale * unit))
-    basis_set = set(tab.basis)
-    defining_rows = frozenset(
-        i for i, row in enumerate(rows) if row.slack_col not in basis_set and row.art_col not in basis_set
-    )
-    return LpSolution(
-        status=OPTIMAL,
-        values=values,
-        objective=objective,
-        duals=tuple(duals),
-        defining_rows=defining_rows,
-        **counts,
-    )
+    return LpSolution(status=OPTIMAL, values=values, objective=objective, duals=tuple(duals), **counts)
 
 
 def _row_pass(p: LpProblem, point: Mapping[str, Fraction]) -> tuple[list[str], list[int] | None, list[bool]]:

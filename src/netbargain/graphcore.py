@@ -40,8 +40,8 @@ class Graph:
         """Normalize and validate raw vertex/edge iterables into a Graph.
 
         Endpoints are added to the vertex set automatically.  Duplicate
-        edges collapse; self-loops and whitespace-bearing names are
-        rejected.
+        edges collapse; self-loops, whitespace-bearing names and names
+        that start with the edge-list comment mark "#" are rejected.
         """
         vset = set(vertices)
         eset: set[Edge] = set()
@@ -52,7 +52,7 @@ class Graph:
             vset.add(u)
             vset.add(v)
         for name in vset:
-            if not name or any(ch.isspace() for ch in name):
+            if not name or name[0] == "#" or any(ch.isspace() for ch in name):
                 raise InputError(f"invalid vertex name {name!r}")
         return Graph(tuple(sorted(vset)), tuple(sorted(eset)))
 

@@ -17,6 +17,7 @@ from netbargain.graphcore import Graph, compute_sparsity
 
 import corpus
 from relaxation import gap_fractional_solution, relaxation_value
+from vertexrank import is_vertex
 
 F = Fraction
 N_SEEDS = 200
@@ -37,6 +38,8 @@ class CorpusRun:
     stats: dict = field(default_factory=dict)
     #: (instance, value) of every relaxation the rounding answered
     nodes: list = field(default_factory=list)
+    #: (instance, answer) of every relaxation the walk answered
+    walks: list = field(default_factory=list)
     #: (LP, matching, cycle answer or None) of every acceleration LP of balancing
     accelerations: list = field(default_factory=list)
     elapsed: float = 0.0
@@ -51,9 +54,9 @@ def corpus_run():
         "lemma_two_checks": 0,
         "bad_leaves": 0,
         "lp_solves": 0,
-        "simplex_fallbacks": 0,
     }
     solve = blockset.solve_gbs_lp
+    walk = blockset._walk
     cycle_answer = bargain._cycle_answer
 
     def recording(inst):
@@ -61,12 +64,17 @@ def corpus_run():
         run.nodes.append((inst, ep.objective))
         return ep
 
+    def recording_walk(inst, side, covers):
+        run.walks.append((inst, walk(inst, side, covers)))
+        return run.walks[-1][1]
+
     def recording_cycle(lp, m):
         run.accelerations.append((lp, m, cycle_answer(lp, m)))
         return run.accelerations[-1][2]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blockset, "solve_gbs_lp", recording)
+        patch.setattr(blockset, "_walk", recording_walk)
         patch.setattr(bargain, "_cycle_answer", recording_cycle)
         for seed in range(N_SEEDS):
             g = corpus.corpus_graph(seed)
@@ -188,14 +196,22 @@ def test_criterion_5_extreme_point_structure(corpus_run):
 
 
 def test_relaxation_values_match_the_simplex(corpus_run):
-    # the exact simplex, the cut answers' fallback, as a reference at every node
+    # the exact simplex as a reference at every node
     assert len(corpus_run.nodes) == corpus_run.stats["lp_solves"] > 0
     for inst, value in corpus_run.nodes:
         assert relaxation_value(inst) == value
     print(
         f"\n{len(corpus_run.nodes)} relaxations equal the simplex's value; "
-        f"{corpus_run.stats['simplex_fallbacks']} were answered by the simplex fallback"
+        f"{len(corpus_run.walks)} were answered by the walk"
     )
+
+
+def test_every_walked_answer_is_a_vertex(corpus_run):
+    # the bad-leaf rounding needs a vertex, which the walk's adjacent pair gives
+    assert corpus_run.walks
+    for inst, answer in corpus_run.walks:
+        assert is_vertex(blockset._build_lp(inst)[0], answer.values), inst
+    print(f"\n{len(corpus_run.walks)} walked relaxation answers are vertices")
 
 
 def test_acceleration_values_match_the_simplex(corpus_run):

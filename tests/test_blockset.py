@@ -14,6 +14,7 @@ from netbargain.graphcore import Graph, bipartite_double, compute_sparsity, is_b
 
 import corpus
 from relaxation import relaxation_value
+from vertexrank import is_vertex
 
 
 def gap_instance(n):
@@ -148,8 +149,6 @@ def test_classify_synthetic_bad_point_directly():
         z=z,
         objective=Fraction(5, 4),
         alpha=alpha,
-        tight_e1=frozenset(inst.e1),
-        tight_e2=frozenset(inst.e2),
         budget_tight=True,
         classification=None,
     )
@@ -169,8 +168,6 @@ def test_classify_rejects_broken_bad_structure():
         z=z,
         objective=ep.objective,
         alpha=ep.alpha,
-        tight_e1=ep.tight_e1,
-        tight_e2=ep.tight_e2,
         budget_tight=True,
         classification=None,
     )
@@ -454,7 +451,7 @@ def test_tampered_host_dual_breaks_the_averaged_certificate(monkeypatch):
 
 def test_relaxation_answer_is_certified(monkeypatch):
     _, inst = gap_instance(1)
-    assert blockset.solve_gbs_lp(inst).method == "cut"
+    assert not blockset.solve_gbs_lp(inst).walked
     cut = blockset._cut_answer
 
     def wrong_arc_flow(sol):
@@ -470,18 +467,43 @@ def test_relaxation_answer_is_certified(monkeypatch):
             blockset.solve_gbs_lp(inst)
 
 
-def test_star_relaxation_falls_back_to_the_simplex():
+def test_star_relaxation_is_answered_by_the_walk(monkeypatch):
     # the star's cut answer mixes its two covers at 3/4 and 1/4: no unit
-    # vertex, no zero edge, every droppable edge at 1/4, so the simplex answers
+    # vertex, no zero edge, every droppable edge at 1/4, so the walk answers
     inst = bad_star_instance()
+    walked = []
+    walk = blockset._walk
+
+    def recording(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(blockset, "_walk", recording)
     ep = blockset.solve_gbs_lp(inst)
-    assert ep.method == "simplex" and isinstance(ep.classification, blockset.BadPartition)
-    assert blockset.stabilize_instance(inst).stats["simplex_fallbacks"] == 1
+    assert ep.walked and len(walked) == 1
+    assert is_vertex(blockset._build_lp(inst)[0], walked[0].values)
+    assert ep.classification == blockset.BadPartition(
+        ("x0",), tuple(f"y{i}" for i in range(1, 6)), tuple(f"o{i}" for i in range(1, 6)), Fraction(3, 4)
+    )
+    _, _, nodes, _ = blockset._ir(inst, compute_sparsity(inst.graph).omega)
+    assert [n.answered_by for n in nodes] == ["walk"]
+    assert blockset.stabilize_instance(inst).stats["bad_leaves"] == 1
 
 
-def test_simplex_fallback_answer_is_certified(tampered_duals):
-    with pytest.raises(InternalInvariantError, match="blockset LP not certified"):
-        blockset.solve_gbs_lp(bad_star_instance())
+def test_walked_answer_is_certified(monkeypatch):
+    walk = blockset._walk
+
+    def wrong_point(sol):
+        name = next(v for v in sol.values if v.startswith("z "))
+        return replace(sol, values={**sol.values, name: sol.values[name] + Fraction(1, 7)})
+
+    def wrong_dual(sol):
+        return replace(sol, duals=(sol.duals[0] + Fraction(1, 7),) + sol.duals[1:])
+
+    for tamper in (wrong_point, wrong_dual):
+        monkeypatch.setattr(blockset, "_walk", lambda *args: tamper(walk(*args)))
+        with pytest.raises(InternalInvariantError, match="blockset LP not certified"):
+            blockset.solve_gbs_lp(bad_star_instance())
 
 
 # -- a stable root instance, settled by its core witness ------------------------

@@ -516,6 +516,7 @@ def _json(drop=(), **fields):
         (_json(drop=("e1", "e2", "nu"), edges=[["a", "a"]]), (), "self-loop"),
         (_json(drop=("e1", "e2", "nu"), vertices=["a b"]), (), "invalid vertex name"),
         (_json(drop=("e1", "e2", "nu"), vertices=[""]), (), "invalid vertex name"),
+        ("a #b\n", (), "invalid vertex name"),
         ('{"vertices": ' + "[" * 100000 + "]" * 100000 + ', "edges": []}', (), "invalid JSON"),
         ('{"vertices": [], "edges": [], "deep": ' + '{"a": ' * 100000 + "1" + "}" * 100001,
          (), "invalid JSON"),
@@ -525,7 +526,7 @@ def _json(drop=(), **fields):
         (None, ("gen", "sparse", "--n", "4", "--omega", "", "--seed", "1"), "expected a rational"),
     ],
     ids=["invalid-json", "no-nu", "negative-nu", "overlapping-classes", "classes-not-partition",
-         "no-vertices", "vertices-string", "self-loop", "whitespace-name", "empty-name",
+         "no-vertices", "vertices-string", "self-loop", "whitespace-name", "empty-name", "comment-mark-name",
          "nested-array", "nested-object", "omega-below-1", "omega-unreachable", "omega-empty"],
 )
 def test_malformed_input_exit_1(capsys, tmp_path, text, argv, message):

@@ -12,6 +12,7 @@ from netbargain.graphcore import Graph
 import certbrute
 import corpus
 import lpbrute
+from vertexrank import tight_system_rank
 
 
 def fractional_matching_lp(edges, vertices):
@@ -100,7 +101,6 @@ def test_equality_and_bounds():
     assert s.values == {"x": Fraction(1), "y": Fraction(2)}
     assert s.objective == 4
     assert exactlp.check_certificates(lp, s) == []
-    assert cap in s.defining_rows
 
 
 def test_redundant_equalities_dropped():
@@ -133,9 +133,6 @@ def test_duals_of_a_row_dropped_after_phase_1():
     s = exactlp.solve(lp)
     assert s.objective == -3
     assert s.duals == (0, Fraction(-1, 2), Fraction(1, 2), 0, 0)
-    # phase 1 leaves x0 = 3's artificial basic: that row stays in the tableau
-    # but not in the defining system, which x1 = 2 completes to rank 2
-    assert s.defining_rows == {1, 2}
     assert exactlp.check_certificates(lp, s) == []
 
 
@@ -174,7 +171,6 @@ def test_leftover_artificial_leaves_on_a_negative_entry():
     assert s.values == {"x0": 0}
     assert s.objective == 0
     assert s.duals == (1, 0)
-    assert s.defining_rows == {0}
     assert (s.phase1_pivots, s.phase2_pivots) == (0, 1)
     assert exactlp.check_certificates(lp, s) == []
 
@@ -184,43 +180,6 @@ def test_determinism():
     s1 = exactlp.solve(lp)
     s2 = exactlp.solve(lp)
     assert s1 == s2
-
-
-def _is_tight(con, s):
-    return sum((c * s.values[v] for v, c in con.coeffs.items()), Fraction(0)) == con.rhs
-
-
-def _tight_system_rank(lp, s, picked=None):
-    """Rank of the rows in `picked` (every tight row by default) and the zero variables."""
-    if picked is None:
-        picked = [i for i, con in enumerate(lp.constraints) if _is_tight(con, s)]
-    rows = []
-    idx = {v: i for i, v in enumerate(lp.variables)}
-    n = len(lp.variables)
-    for i in picked:
-        dense = [Fraction(0)] * n
-        for v, c in lp.constraints[i].coeffs.items():
-            dense[idx[v]] = c
-        rows.append(dense)
-    for v in lp.variables:
-        if s.values[v] == 0:
-            dense = [Fraction(0)] * n
-            dense[idx[v]] = Fraction(1)
-            rows.append(dense)
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 @st.composite
@@ -256,7 +215,7 @@ def test_random_lps_match_vertex_enumeration(lp):
         assert best is not None
         assert s.objective == best
         assert exactlp.check_certificates(lp, s) == []
-        assert _tight_system_rank(lp, s) >= len(lp.variables)
+        assert tight_system_rank(lp, s.values) == len(lp.variables)
 
 
 @given(small_lps(), st.data())
@@ -313,8 +272,7 @@ def lps_with_a_dependent_row(draw):
 
 def _dependent_rows_example():
     # phase 1 leaves the second equality's artificial basic in the tableau row of
-    # v2 <= 1, whose slack is nonbasic, so the defining rows cannot be read off
-    # tableau positions: rows 0-2 have rank 2 at the point (1, 1, 1)
+    # v2 <= 1, whose slack is nonbasic: rows 0-2 have rank 2 at the point (1, 1, 1)
     lp = exactlp.LpProblem("dep", "min", ["v0", "v1", "v2"])
     lp.add_constraint({"v1": -1, "v2": -1}, exactlp.EQ, -2)
     lp.add_constraint({"v0": -1, "v2": Fraction(1, 2)}, exactlp.EQ, Fraction(-1, 2))
@@ -332,8 +290,8 @@ def test_certificates_hold_when_phase_1_drops_a_row(lp):
     assert s.status == exactlp.OPTIMAL
     assert s.objective == lpbrute.best_vertex_value(lp)
     assert exactlp.check_certificates(lp, s) == []
-    assert all(_is_tight(lp.constraints[i], s) for i in s.defining_rows)
-    assert _tight_system_rank(lp, s, s.defining_rows) == len(lp.variables)
+    # the point is a vertex: its tight rows and zero variables have full rank
+    assert tight_system_rank(lp, s.values) == len(lp.variables)
 
 
 def _x_equal_to_1(sense):
@@ -455,7 +413,7 @@ def _round_p4():
 
 
 def _round_bad_star():
-    # the star's cut answer has no good certificate: the simplex answers it
+    # the star's cut answer has no good certificate: the walk answers it
     e2 = [("x0", f"y{i}") for i in range(1, 6)]
     e1 = [(f"y{i}", f"o{i}") for i in range(1, 6)]
     blockset.solve_gbs_lp(blockset.GbsInstance(Graph.build(e1 + e2), tuple(e1), tuple(e2), 4))
@@ -477,7 +435,7 @@ def _balance_matching_shrinker():
     "caller, lp_name, answerer",
     [
         pytest.param(_round_p4, "blockset", (blockset, "_cut_answer"), id="_round_p4-blockset"),
-        pytest.param(_round_bad_star, "blockset", (exactlp, "solve"), id="_round_bad_star-blockset"),
+        pytest.param(_round_bad_star, "blockset", (blockset, "_walk"), id="_round_bad_star-blockset"),
         pytest.param(
             _balance_stable_tree,
             "surplus-acceleration",
@@ -493,7 +451,7 @@ def _balance_matching_shrinker():
     ],
 )
 def test_caller_rejects_an_answer_that_is_not_optimal(monkeypatch, caller, lp_name, answerer):
-    # `answerer` is what answers the caller's LP: the cut, the cycle or the simplex
+    # `answerer` is what answers the caller's LP: the cut, the walk, the cycle or the simplex
     answered = []
 
     def infeasible(*args):

@@ -39,7 +39,7 @@ GOLDEN = {
 
 # `balance --trace` stdout: corpus3 runs 9 case-2 steps on its doubled
 # host and ends at a leaf of value 0, gap2 runs cases 1 and 3, star5 ends
-# in a bad leaf at its root (the one relaxation here that the simplex
+# in a bad leaf at its root (the one relaxation here that the walk
 # answers), and tree12, a stable root settled by its core witness
 # (`case=core`), pins the balancing trace of its 3 LPs and 7 transfers.
 TRACED = {
@@ -50,11 +50,11 @@ TRACED = {
 }
 
 STATS = {
-    "corpus3": {"lp_solves": 16, "simplex_fallbacks": 0, "ir_returns": 16, "lemma_two_checks": 15,
+    "corpus3": {"lp_solves": 16, "ir_returns": 16, "lemma_two_checks": 15,
                 "bad_leaves": 0, "case1": 3, "case2": 9, "case3": 3, "leaf": 1},
-    "gap2": {"lp_solves": 15, "simplex_fallbacks": 0, "ir_returns": 16, "lemma_two_checks": 11,
+    "gap2": {"lp_solves": 15, "ir_returns": 16, "lemma_two_checks": 11,
              "bad_leaves": 0, "case1": 3, "case2": 0, "case3": 12, "leaf": 1},
-    "star5": {"lp_solves": 1, "simplex_fallbacks": 1, "ir_returns": 1, "lemma_two_checks": 1,
+    "star5": {"lp_solves": 1, "ir_returns": 1, "lemma_two_checks": 1,
               "bad_leaves": 1, "case1": 0, "case2": 0, "case3": 0, "leaf": 0},
 }
 

@@ -69,6 +69,24 @@ def test_parse_serialize_roundtrip(g):
     assert set(again.vertices) == {v for e in g.edges for v in e}
 
 
+# names without whitespace, some of them starting with the comment mark "#"
+vertex_names = st.text(st.characters(blacklist_categories=("Z", "C")) | st.just("#"), min_size=1, max_size=4)
+
+
+@given(st.lists(st.tuples(vertex_names, vertex_names).filter(lambda e: e[0] != e[1]), max_size=8))
+@example([("a", "#b")])
+@settings(max_examples=100, deadline=None)
+def test_edge_list_text_round_trips_every_accepted_graph(edges):
+    # written as "#b a", an edge a-#b would read back as a comment line
+    if any(v.startswith("#") for e in edges for v in e):
+        with pytest.raises(InputError, match="invalid vertex name"):
+            gc.Graph.build(edges)
+        return
+    g = gc.Graph.build(edges)
+    again = gc.parse_edge_list(gc.edge_list_text(g))
+    assert (again.vertices, again.edges) == (g.vertices, g.edges)
+
+
 @given(random_graphs())
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip(g):

@@ -2,7 +2,8 @@
 
 At every rounding node the value the pipeline certified must equal the
 one `flowrelax` finds with networkx cuts by its own search, on bipartite
-instances and doubled hosts of 20-40 vertices.
+instances and doubled hosts of 20-40 vertices; every answer the walk
+gives must be a vertex by `vertexrank`.
 """
 
 import random
@@ -15,20 +16,27 @@ from netbargain import blockset, matching, oracle
 from netbargain.graphcore import Graph
 
 import flowrelax
+from vertexrank import is_vertex
 
 
-def _recording(monkeypatch) -> list:
-    """Every (instance, value) the rounding answers from now on."""
-    answered = []
-    solve = blockset.solve_gbs_lp
+def _recording(monkeypatch) -> tuple[list, list]:
+    """Every (instance, value) the rounding answers from now on, and
+    every (instance, answer) the walk gives."""
+    answered, walked = [], []
+    solve, walk = blockset.solve_gbs_lp, blockset._walk
 
     def recording(inst):
         ep = solve(inst)
         answered.append((inst, ep.objective))
         return ep
 
+    def recording_walk(inst, side, covers):
+        walked.append((inst, walk(inst, side, covers)))
+        return walked[-1][1]
+
     monkeypatch.setattr(blockset, "solve_gbs_lp", recording)
-    return answered
+    monkeypatch.setattr(blockset, "_walk", recording_walk)
+    return answered, walked
 
 
 def _bipartite_instance(seed: int) -> blockset.GbsInstance:
@@ -53,12 +61,18 @@ def _check_every_node(answered: list) -> None:
         assert got == value, (inst, got, value)
 
 
+def _check_every_walk(walked: list) -> None:
+    for inst, answer in walked:
+        assert is_vertex(blockset._build_lp(inst)[0], answer.values), inst
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_bipartite_node_values_match_networkx_cuts(monkeypatch, seed):
     inst = _bipartite_instance(seed)
-    answered = _recording(monkeypatch)
+    answered, walked = _recording(monkeypatch)
     blockset.stabilize_instance(inst)
     _check_every_node(answered)
+    _check_every_walk(walked)
 
 
 def _unstable_sparse_graph(index: int) -> Graph:
@@ -76,6 +90,7 @@ def _unstable_sparse_graph(index: int) -> Graph:
 @pytest.mark.parametrize("index", range(6))
 def test_doubled_host_node_values_match_networkx_cuts(monkeypatch, index):
     g = _unstable_sparse_graph(index)
-    answered = _recording(monkeypatch)
+    answered, walked = _recording(monkeypatch)
     blockset.stabilize(g)
     _check_every_node(answered)
+    _check_every_walk(walked)
